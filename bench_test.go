@@ -10,6 +10,7 @@ package repro
 // paper's full scale.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -255,7 +256,7 @@ func BenchmarkFaultSweep(b *testing.B) {
 	opts.Intensities = []float64{0, 0.5, 1}
 	var pts []core.FaultSweepPoint
 	for i := 0; i < b.N; i++ {
-		pts = core.RunFaultSweep(opts)
+		pts, _ = core.RunFaultSweepContext(context.Background(), opts)
 	}
 	b.StopTimer()
 	b.Logf("\n%s", core.FaultSweepTable(pts))
@@ -274,7 +275,7 @@ func BenchmarkParallelSweep(b *testing.B) {
 			opts.Intensities = intensities
 			opts.Workers = workers
 			for i := 0; i < b.N; i++ {
-				_ = core.RunFaultSweep(opts)
+				_, _ = core.RunFaultSweepContext(context.Background(), opts)
 			}
 		})
 	}

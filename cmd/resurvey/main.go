@@ -47,7 +47,7 @@
 package main
 
 import (
-	"bytes"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -103,6 +103,18 @@ func main() {
 	}
 }
 
+// kind is the job kind the flags select: -workload and -scenario
+// replace the survey script.
+func (o options) kind() string {
+	switch {
+	case o.Workload != "":
+		return "workload"
+	case o.Scenario != "":
+		return "scenario"
+	}
+	return "survey"
+}
+
 // validate rejects flag combinations the pipeline cannot honour.
 func (o options) validate() error {
 	if err := o.Config.Validate(); err != nil {
@@ -111,35 +123,21 @@ func (o options) validate() error {
 	if o.NSeeds < 1 {
 		return fmt.Errorf("-seeds %d out of range: want >= 1", o.NSeeds)
 	}
-	if o.Workload != "" {
+	if kind := o.kind(); kind != "survey" {
 		if o.SnapshotDir != "" || o.Resume {
-			return fmt.Errorf("-workload does not support -snapshot-dir/-resume")
+			return fmt.Errorf("-%s does not support -snapshot-dir/-resume", kind)
 		}
 		if o.Faults > 0 || o.NSeeds > 1 || o.JSONDir != "" || o.MRTDir != "" || o.Dataset != "" {
-			return fmt.Errorf("-workload replaces the survey script; drop -faults/-seeds/-json/-mrt/-dataset")
+			return fmt.Errorf("-%s replaces the survey script; drop -faults/-seeds/-json/-mrt/-dataset", kind)
 		}
-		if o.Workload == "replay" && o.Trace == "" {
-			return fmt.Errorf("-workload replay requires -trace")
-		}
+	}
+	if o.Workload == "replay" && o.Trace == "" {
+		return fmt.Errorf("-workload replay requires -trace")
 	}
 	if o.Trace != "" && o.Workload != "replay" {
 		return fmt.Errorf("-trace requires -workload replay")
 	}
-	if o.Scenario != "" {
-		if o.SnapshotDir != "" || o.Resume {
-			return fmt.Errorf("-scenario does not support -snapshot-dir/-resume")
-		}
-		if o.Faults > 0 || o.NSeeds > 1 || o.JSONDir != "" || o.MRTDir != "" || o.Dataset != "" {
-			return fmt.Errorf("-scenario replaces the survey script; drop -faults/-seeds/-json/-mrt/-dataset")
-		}
-	}
 	return nil
-}
-
-// sweepIntensities selects the fault-sweep points for a max intensity
-// (kept as a thin alias of the pipeline's ladder for the tests).
-func sweepIntensities(max float64) []float64 {
-	return core.SweepIntensities(max)
 }
 
 // manifestOptions is the run configuration recorded in the manifest.
@@ -151,6 +149,32 @@ type manifestOptions struct {
 	Survey      core.SurveyOptions `json:"survey"`
 }
 
+// workloadManifestOptions is the run configuration recorded in a
+// workload run's manifest.
+type workloadManifestOptions struct {
+	Small           bool               `json:"small"`
+	Workload        string             `json:"workload"`
+	DurationSeconds int64              `json:"duration_seconds"`
+	RoundMode       bool               `json:"round_mode"`
+	Incremental     bool               `json:"incremental"`
+	Survey          core.SurveyOptions `json:"survey"`
+}
+
+// scenarioManifestOptions is the run configuration recorded in a
+// scenario run's manifest.
+type scenarioManifestOptions struct {
+	Small       bool               `json:"small"`
+	Scenario    string             `json:"scenario"`
+	ROV         float64            `json:"rov"`
+	Incremental bool               `json:"incremental"`
+	Survey      core.SurveyOptions `json:"survey"`
+}
+
+// run executes the mode the flags select through its core job method,
+// then prints what only the CLI reports: the survey's analysis and
+// side studies, a workload's wall-derived speedup, the manifest, and
+// the metrics exposition. Everything printed (and the manifest under
+// -zerotime) is deterministic and byte-identical at any -workers width.
 func run(w io.Writer, o options) error {
 	// Telemetry is opt-in: without -manifest or -metrics the registry
 	// stays nil and every instrumented path is a no-op.
@@ -164,92 +188,151 @@ func run(w io.Writer, o options) error {
 		fmt.Fprintf(w, "pprof listening on http://%s/debug/pprof/\n", o.PProf)
 	}
 
-	if o.Workload != "" {
-		return runWorkload(w, o, reg)
-	}
-	if o.Scenario != "" {
-		return runScenario(w, o, reg)
-	}
-
-	// Resume: pick the newest valid checkpoint and restore the
-	// telemetry state first (before any new span opens), so the resumed
-	// run's phase tree and metrics continue exactly where the saved run
-	// left off. Corrupt checkpoints are skipped in favour of older valid
-	// ones and surfaced via snapshot_checkpoint_corrupt_total.
-	var ck *core.Checkpoint
-	var openSpans []*telemetry.Span
-	if o.Resume {
-		var corrupt int
-		ck, corrupt = loadLatestCheckpoint(o)
-		if ck != nil && reg != nil && len(ck.Telemetry) > 0 {
-			spans, err := reg.LoadState(bytes.NewReader(ck.Telemetry))
+	ctx := context.Background()
+	job := &core.Job{Options: o.Job(), Seeds: o.NSeeds, Out: w}
+	survey := o.Pipeline(nil).SurveyOptions()
+	// manifest is the run configuration the manifest records. A
+	// workload or scenario run records under one span named after it.
+	var manifest any
+	switch o.kind() {
+	case "workload":
+		if o.Trace != "" {
+			f, err := os.Open(o.Trace)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "resurvey: checkpoint telemetry unusable, cold-starting: %v\n", err)
-				reg = o.NewRegistry()
-				ck = nil
-				corrupt++
-			} else {
-				openSpans = spans
+				return err
 			}
+			defer f.Close()
+			job.Trace = f
 		}
-		if corrupt > 0 {
-			reg.Counter("snapshot_checkpoint_corrupt_total").Add(int64(corrupt))
+		span := reg.StartSpan("workload")
+		res, err := job.RunWorkload(ctx, reg, nil)
+		span.End()
+		if err != nil {
+			return err
+		}
+		if err := res.WriteText(w); err != nil {
+			return err
+		}
+		if !o.ZeroTime && res.SpeedupRatio > 0 {
+			// Wall-derived, hence gated exactly like manifest durations.
+			reg.Gauge("vtime_speedup_ratio").Set(res.SpeedupRatio)
+			fmt.Fprintf(w, "  speedup: %.0fx virtual over wall\n", res.SpeedupRatio)
+		}
+		manifest = workloadManifestOptions{
+			Small:           o.Small,
+			Workload:        o.Workload,
+			DurationSeconds: int64(res.Duration),
+			RoundMode:       o.RoundMode,
+			Incremental:     o.Incremental,
+			Survey:          survey,
+		}
+	case "scenario":
+		span := reg.StartSpan("scenario")
+		res, err := job.RunScenario(ctx, reg, nil)
+		span.End()
+		if err != nil {
+			return err
+		}
+		if err := res.WriteText(w); err != nil {
+			return err
+		}
+		manifest = scenarioManifestOptions{
+			Small:       o.Small,
+			Scenario:    o.Scenario,
+			ROV:         o.ROV,
+			Incremental: o.Incremental,
+			Survey:      survey,
+		}
+	default:
+		rep, err := job.RunSurvey(ctx, reg, o.CheckpointDir("resurvey", reg))
+		if err != nil {
+			return err
+		}
+		if err := writeSurvey(w, o, reg, rep); err != nil {
+			return err
+		}
+		manifest = manifestOptions{
+			Small:       o.Small,
+			Faults:      o.Faults,
+			Incremental: o.Incremental,
+			NSeeds:      o.NSeeds,
+			Survey:      survey,
 		}
 	}
 
-	pl := o.Pipeline(reg)
-	opts := pl.SurveyOptions()
-
-	// On resume the checkpointed state already contains the completed
-	// build phase; re-recording it would duplicate the span.
-	var buildSpan *telemetry.Span
-	if ck == nil {
-		buildSpan = reg.StartSpan("build")
+	if o.Manifest != "" {
+		if err := o.WriteManifest(reg, manifest); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "manifest written to %s\n", o.Manifest)
 	}
-	fmt.Fprintf(w, "building ecosystem (seed %d)...\n", o.Seed)
-	s := pl.NewSurvey()
-	buildSpan.End()
+	return o.DumpMetrics(w, reg)
+}
 
-	// The pristine post-build engine state is the fork point the
-	// multi-seed warm start rewinds to; capture it before any restore
-	// or experiment touches the network. snapshot_bytes is counted only
-	// on cold runs — a resumed registry already carries the count.
-	var pristine []byte
-	if o.NSeeds > 1 && o.Small {
-		var buf bytes.Buffer
-		if err := s.Eco.Net.Snapshot(&buf); err == nil {
-			pristine = buf.Bytes()
-			if ck == nil {
-				reg.Counter("snapshot_bytes").Add(int64(len(pristine)))
-			}
+// writeSurvey prints the paper's evaluation of a finished survey, then
+// the optional side studies (-faults, -seeds) and artifacts (-json,
+// -mrt, -dataset).
+func writeSurvey(w io.Writer, o options, reg *telemetry.Registry, rep *core.SurveyReport) error {
+	s := rep.Survey
+	if err := analyze(w, s, reg); err != nil {
+		return err
+	}
+
+	if o.Faults > 0 {
+		// Robustness: how much fault intensity the inference tolerates
+		// before Table 1's shape breaks, scored against generator ground
+		// truth. Runs at reduced scale with fresh worlds per point; the
+		// topology seed carries over so the sweep tracks the main run.
+		fmt.Fprintln(w)
+		sweep := &core.Job{Options: o.Job(), Out: w}
+		pts, err := sweep.RunSweep(context.Background(), reg, nil)
+		if err != nil {
+			return err
+		}
+		if err := pts.WriteText(w); err != nil {
+			return err
 		}
 	}
 
-	if ck != nil {
-		if err := bgp.RestoreNetwork(bytes.NewReader(ck.Engine), s.Eco.Net); err != nil {
-			return fmt.Errorf("resume: restore engine state: %w", err)
+	if o.NSeeds > 1 {
+		var seedList []int64
+		for i := 0; i < o.NSeeds; i++ {
+			seedList = append(seedList, o.Seed+int64(i))
 		}
-		s.Resume = ck.Resume(openSpans)
-	}
-	if o.SnapshotDir != "" {
-		s.Checkpoint = func(sck core.SurveyCheckpoint) {
-			if err := writeCheckpoint(o, reg, s, sck); err != nil {
-				fmt.Fprintln(os.Stderr, "resurvey: checkpoint:", err)
-			}
+		// A -small main run already built the first seed's world; rewind
+		// it to the pristine fork point instead of rebuilding.
+		var warm *core.Survey
+		if o.Small {
+			warm = s
 		}
+		fmt.Fprintln(w, core.RunMultiSeedFrom(core.SmallSurveyOptions(), seedList, warm, rep.Pristine, reg).Table())
 	}
-	st := s.Sel.Stats
-	fmt.Fprintf(w, "  %d R&E-connected origin ASes; %d prefixes announced, %d excluded as entirely covered (§3.2), %d probed\n",
-		countASes(s), len(s.Eco.Prefixes), len(s.Eco.Prefixes)-st.Prefixes, st.Prefixes)
-	fmt.Fprintf(w, "  %d with ISI seeds (%s), %d responsive (%s), %d with three targets (%s)\n\n",
-		st.WithISISeed, report.Pct(st.WithISISeed, st.Prefixes),
-		st.Responsive, report.Pct(st.Responsive, st.Prefixes),
-		st.WithMaxTargets, report.Pct(st.WithMaxTargets, st.Responsive))
 
-	fmt.Fprintln(w, "running SURF and Internet2 experiments...")
-	s.RunBoth()
-	fmt.Fprintln(w)
+	if o.JSONDir != "" {
+		if err := writeJSON(s, o.JSONDir); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\nprobe JSON written to %s\n", o.JSONDir)
+	}
+	if o.MRTDir != "" {
+		if err := writeMRT(s, o.MRTDir); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "MRT dumps written to %s\n", o.MRTDir)
+	}
+	if o.Dataset != "" {
+		err := createFile(o.Dataset, func(f io.Writer) error { return core.WriteDataset(f, core.BuildDataset(s)) })
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "dataset written to %s\n", o.Dataset)
+	}
 
+	return nil
+}
+
+// analyze prints every table and figure of the paper's evaluation.
+func analyze(w io.Writer, s *core.Survey, reg *telemetry.Registry) error {
 	analysisSpan := reg.StartSpan("analysis")
 
 	// Table 1 for both experiments.
@@ -366,180 +449,7 @@ func run(w io.Writer, o options) error {
 		return fmt.Errorf("measurement prefix not covered by IRR route objects")
 	}
 	analysisSpan.End()
-
-	if o.Faults > 0 {
-		// Robustness: how much fault intensity the inference tolerates
-		// before Table 1's shape breaks, scored against generator ground
-		// truth. Runs at reduced scale with fresh worlds per point; the
-		// topology seed carries over so the sweep tracks the main run.
-		fmt.Fprintln(w)
-		fmt.Fprintf(w, "running fault-intensity sweep (reduced scale, up to %.2f)...\n", o.Faults)
-		fmt.Fprintln(w, core.FaultSweepTable(pl.RunFaultSweep()))
-	}
-
-	if o.NSeeds > 1 {
-		var seedList []int64
-		for i := 0; i < o.NSeeds; i++ {
-			seedList = append(seedList, o.Seed+int64(i))
-		}
-		// A -small main run already built the first seed's world; rewind
-		// it to the pristine fork point instead of rebuilding.
-		var warm *core.Survey
-		if o.Small {
-			warm = s
-		}
-		fmt.Fprintln(w, core.RunMultiSeedFrom(core.SmallSurveyOptions(), seedList, warm, pristine, reg).Table())
-	}
-
-	if o.JSONDir != "" {
-		if err := writeJSON(s, o.JSONDir); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "\nprobe JSON written to %s\n", o.JSONDir)
-	}
-	if o.MRTDir != "" {
-		if err := writeMRT(s, o.MRTDir); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "MRT dumps written to %s\n", o.MRTDir)
-	}
-	if o.Dataset != "" {
-		f, err := os.Create(o.Dataset)
-		if err != nil {
-			return err
-		}
-		if err := core.WriteDataset(f, core.BuildDataset(s)); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "dataset written to %s\n", o.Dataset)
-	}
-
-	if o.Manifest != "" {
-		if err := o.WriteManifest(reg, manifestOptions{
-			Small:       o.Small,
-			Faults:      o.Faults,
-			Incremental: o.Incremental,
-			NSeeds:      o.NSeeds,
-			Survey:      opts,
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "manifest written to %s\n", o.Manifest)
-	}
-	return o.DumpMetrics(w, reg)
-}
-
-// workloadManifestOptions is the run configuration recorded in a
-// workload run's manifest.
-type workloadManifestOptions struct {
-	Small           bool               `json:"small"`
-	Workload        string             `json:"workload"`
-	DurationSeconds int64              `json:"duration_seconds"`
-	RoundMode       bool               `json:"round_mode"`
-	Incremental     bool               `json:"incremental"`
-	Survey          core.SurveyOptions `json:"survey"`
-}
-
-// runWorkload drives a named virtual-clock workload instead of the
-// survey script. Everything printed (and the manifest under -zerotime)
-// is deterministic; the wall-derived speedup figure appears only
-// without -zerotime, so byte-stable comparisons stay clean.
-func runWorkload(w io.Writer, o options, reg *telemetry.Registry) error {
-	pl := o.Pipeline(reg)
-	wopts := o.Job().WorkloadOptions()
-	if o.Workload == "replay" {
-		f, err := os.Open(o.Trace)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		wopts.Trace = f
-	}
-
-	fmt.Fprintf(w, "building ecosystem (seed %d)...\n", o.Seed)
-	span := reg.StartSpan("workload")
-	res, err := pl.RunWorkload(wopts)
-	span.End()
-	if err != nil {
-		return err
-	}
-	core.WriteWorkloadReport(w, res)
-	if !o.ZeroTime && res.SpeedupRatio > 0 {
-		// Wall-derived, hence gated exactly like manifest durations.
-		reg.Gauge("vtime_speedup_ratio").Set(res.SpeedupRatio)
-		fmt.Fprintf(w, "  speedup: %.0fx virtual over wall\n", res.SpeedupRatio)
-	}
-
-	if o.Manifest != "" {
-		if err := o.WriteManifest(reg, workloadManifestOptions{
-			Small:           o.Small,
-			Workload:        o.Workload,
-			DurationSeconds: int64(res.Duration),
-			RoundMode:       o.RoundMode,
-			Incremental:     o.Incremental,
-			Survey:          pl.SurveyOptions(),
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "manifest written to %s\n", o.Manifest)
-	}
-	return o.DumpMetrics(w, reg)
-}
-
-// scenarioManifestOptions is the run configuration recorded in a
-// scenario run's manifest.
-type scenarioManifestOptions struct {
-	Small       bool               `json:"small"`
-	Scenario    string             `json:"scenario"`
-	ROV         float64            `json:"rov"`
-	Incremental bool               `json:"incremental"`
-	Survey      core.SurveyOptions `json:"survey"`
-}
-
-// runScenario drives the adversarial scenario sweep instead of the
-// survey script: baseline plus one Internet2-style run per ROV
-// adoption point, reported as the catchment-vs-adoption table. Output
-// (and the manifest under -zerotime) is deterministic and
-// byte-identical at any -workers width.
-func runScenario(w io.Writer, o options, reg *telemetry.Registry) error {
-	pl := o.Pipeline(reg)
-	fmt.Fprintf(w, "building ecosystems (seed %d)...\n", o.Seed)
-	fmt.Fprintf(w, "running %s scenario sweep over ROV adoption (reduced scale)...\n", o.Scenario)
-	span := reg.StartSpan("scenario")
-	pts, err := pl.RunScenarioSweep()
-	span.End()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, core.ScenarioSweepTable(o.Scenario, pts))
-
-	if o.Manifest != "" {
-		if err := o.WriteManifest(reg, scenarioManifestOptions{
-			Small:       o.Small,
-			Scenario:    o.Scenario,
-			ROV:         o.ROV,
-			Incremental: o.Incremental,
-			Survey:      pl.SurveyOptions(),
-		}); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "manifest written to %s\n", o.Manifest)
-	}
-	return o.DumpMetrics(w, reg)
-}
-
-// countASes counts distinct R&E-connected origin ASes (the paper's
-// 2,653 figure), not the whole simulated world.
-func countASes(s *core.Survey) int {
-	set := map[asn.AS]bool{}
-	for _, pi := range s.Eco.Prefixes {
-		set[pi.Origin] = true
-	}
-	return len(set)
+	return nil
 }
 
 // relationshipAccuracy runs Gao-style relationship inference over the
@@ -593,25 +503,37 @@ func relationshipAccuracy(s *core.Survey, views map[asn.AS]*core.OriginView) (ac
 	return acc, evaluated, len(paths)
 }
 
+// createFile writes one artifact file through fill.
+func createFile(path string, fill func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := fill(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// artifactNames names the SURF and Internet2 experiments' artifact
+// files, in that order.
+var artifactNames = [2]string{"surf", "internet2"}
+
 func writeJSON(s *core.Survey, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	for _, pair := range []struct {
-		name string
-		res  *core.Result
-	}{{"surf", s.SURF}, {"internet2", s.Internet2}} {
-		f, err := os.Create(filepath.Join(dir, pair.name+".json"))
-		if err != nil {
-			return err
-		}
-		for _, round := range pair.res.Rounds {
-			if err := s.Prober.WriteJSON(f, round); err != nil {
-				f.Close()
-				return err
+	for i, res := range []*core.Result{s.SURF, s.Internet2} {
+		err := createFile(filepath.Join(dir, artifactNames[i]+".json"), func(w io.Writer) error {
+			for _, round := range res.Rounds {
+				if err := s.Prober.WriteJSON(w, round); err != nil {
+					return err
+				}
 			}
-		}
-		if err := f.Close(); err != nil {
+			return nil
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -625,32 +547,16 @@ func writeMRT(s *core.Survey, dir string) error {
 	// Collector RIB snapshots for the measurement prefix.
 	for i, col := range s.Eco.Collectors {
 		rib := collector.Snapshot(s.Eco.Net, col, []netutil.Prefix{s.Eco.MeasPrefix})
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("rib-collector%d.mrt", i)))
-		if err != nil {
-			return err
-		}
-		if err := rib.WriteMRT(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := createFile(filepath.Join(dir, fmt.Sprintf("rib-collector%d.mrt", i)), rib.WriteMRT); err != nil {
 			return err
 		}
 	}
 	// Update streams per experiment.
-	for _, pair := range []struct {
-		name string
-		res  *core.Result
-	}{{"surf", s.SURF}, {"internet2", s.Internet2}} {
-		f, err := os.Create(filepath.Join(dir, "updates-"+pair.name+".mrt"))
+	for i, res := range []*core.Result{s.SURF, s.Internet2} {
+		err := createFile(filepath.Join(dir, "updates-"+artifactNames[i]+".mrt"), func(w io.Writer) error {
+			return collector.WriteUpdates(w, res.Churn)
+		})
 		if err != nil {
-			return err
-		}
-		if err := collector.WriteUpdates(f, pair.res.Churn); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
 			return err
 		}
 	}

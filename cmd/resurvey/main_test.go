@@ -39,20 +39,20 @@ func TestFaultsFlagValidation(t *testing.T) {
 }
 
 func TestSweepIntensities(t *testing.T) {
-	got := sweepIntensities(0.5)
+	got := core.SweepIntensities(0.5)
 	want := []float64{0, 0.1, 0.25, 0.5}
 	if len(got) != len(want) {
-		t.Fatalf("sweepIntensities(0.5) = %v, want %v", got, want)
+		t.Fatalf("core.SweepIntensities(0.5) = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("sweepIntensities(0.5) = %v, want %v", got, want)
+			t.Fatalf("core.SweepIntensities(0.5) = %v, want %v", got, want)
 		}
 	}
 	// A max between ladder points becomes the final point itself.
-	got = sweepIntensities(0.3)
+	got = core.SweepIntensities(0.3)
 	if got[len(got)-1] != 0.3 {
-		t.Fatalf("sweepIntensities(0.3) = %v, want final point 0.3", got)
+		t.Fatalf("core.SweepIntensities(0.3) = %v, want final point 0.3", got)
 	}
 }
 

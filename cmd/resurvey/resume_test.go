@@ -211,13 +211,19 @@ func TestResumeWorkersByteEqual(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTrip pins the RCKP codec on a synthetic
-// checkpoint without running the pipeline: encode, decode, compare.
+// TestCheckpointRoundTrip pins the RCKP codec and the shared
+// checkpoint directory on a synthetic checkpoint without running the
+// pipeline: write it atomically, load it back as the newest usable
+// checkpoint, compare.
 func TestCheckpointRoundTrip(t *testing.T) {
 	c := syntheticCheckpoint()
-	got, err := core.DecodeCheckpoint(c.Encode())
-	if err != nil {
+	d := &core.CheckpointDir{Path: t.TempDir(), Resume: true}
+	if err := d.WriteFile("ckpt-1-03.rckp", c.Encode()); err != nil {
 		t.Fatal(err)
+	}
+	got := d.LatestSurvey(c.Fingerprint, nil)
+	if got == nil {
+		t.Fatal("written checkpoint not found")
 	}
 	if got.Fingerprint != c.Fingerprint || got.Phase != c.Phase || got.Done != c.Done ||
 		got.ChurnStart != c.ChurnStart || got.Start != c.Start {
@@ -242,25 +248,28 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadLatestCheckpointFingerprint checks that checkpoints from a
-// different run configuration are skipped without being counted as
-// corrupt.
+// TestLoadLatestCheckpointFingerprint checks that the fingerprint the
+// CLI's flags produce (-seeds included) selects checkpoints, and that
+// checkpoints from a different run configuration are skipped without
+// being counted as corrupt.
 func TestLoadLatestCheckpointFingerprint(t *testing.T) {
 	dir := t.TempDir()
 	c := syntheticCheckpoint()
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(c.Phase, c.Done)), c.Encode(), 0o644); err != nil {
+	corrupt := 0
+	d := &core.CheckpointDir{Path: dir, Resume: true, Corrupt: func(n int) { corrupt += n }}
+	if err := d.WriteFile("ckpt-1-03.rckp", c.Encode()); err != nil {
 		t.Fatal(err)
 	}
 	// Same flags: found.
 	o := options{NSeeds: 3, Config: cliconf.Config{Small: true, Seed: 7, Incremental: true, Faults: 0.5, SnapshotDir: dir}}
-	ck, corrupt := loadLatestCheckpoint(o)
-	if ck == nil || corrupt != 0 {
+	fp := (&core.Job{Options: o.Job(), Seeds: o.NSeeds}).SurveyFingerprint()
+	if ck := d.LatestSurvey(fp, nil); ck == nil || corrupt != 0 {
 		t.Fatalf("matching fingerprint: ck=%v corrupt=%d, want found with 0 corrupt", ck, corrupt)
 	}
 	// Different seed: skipped, not corrupt, nothing usable left.
 	o.Seed = 8
-	ck, corrupt = loadLatestCheckpoint(o)
-	if ck != nil || corrupt != 0 {
+	fp = (&core.Job{Options: o.Job(), Seeds: o.NSeeds}).SurveyFingerprint()
+	if ck := d.LatestSurvey(fp, nil); ck != nil || corrupt != 0 {
 		t.Fatalf("mismatched fingerprint: ck=%v corrupt=%d, want nil with 0 corrupt", ck, corrupt)
 	}
 }

@@ -1,11 +1,12 @@
 // Command resurveyd is the resident survey service: a long-running
-// HTTP server that accepts survey and fault-sweep job submissions
-// (JSON bodies mapping onto the same options as cmd/resurvey's flags),
-// runs them concurrently with admission control and per-tenant rate
-// limiting, checkpoints surveys after every configuration round, and
-// resumes every interrupted job after a restart with byte-equal
-// output. See the README's "resurveyd" section for the endpoints and
-// job schema.
+// HTTP server that accepts job submissions of every registered kind —
+// survey, fault sweep, workload, scenario sweep, and policy
+// optimization (JSON bodies mapping onto the same options as the CLI
+// flags) — runs them concurrently with admission control and
+// per-tenant rate limiting, checkpoints surveys after every
+// configuration round and searches after every generation, and resumes
+// every interrupted job after a restart with byte-equal output. See
+// the README's "resurveyd" section for the endpoints and job schema.
 package main
 
 import (
@@ -65,6 +66,11 @@ func (o options) validate() error {
 }
 
 func main() {
+	// Catch SIGTERM before anything starts: a signal that lands between
+	// the listener coming up and a later Notify call would kill the
+	// daemon undrained.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	o, err := parseFlags(os.Args[1:])
 	if err != nil {
 		if err != flag.ErrHelp {
@@ -72,13 +78,14 @@ func main() {
 		}
 		os.Exit(2)
 	}
-	if err := run(o); err != nil {
+	if err := run(ctx, o); err != nil {
 		fmt.Fprintln(os.Stderr, "resurveyd:", err)
 		os.Exit(1)
 	}
 }
 
-func run(o options) error {
+// run serves until ctx is cancelled (the signal), then drains.
+func run(ctx context.Context, o options) error {
 	srv, err := serve.New(serve.Config{
 		DataDir: o.DataDir,
 		Admission: serve.AdmissionConfig{
@@ -104,12 +111,10 @@ func run(o options) error {
 	}()
 	fmt.Printf("resurveyd listening on http://%s (data dir %s)\n", o.Addr, o.DataDir)
 
-	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errCh:
 		return err
-	case <-sigCtx.Done():
+	case <-ctx.Done():
 	}
 
 	// Drain jobs first (so event streams terminate and in-flight work

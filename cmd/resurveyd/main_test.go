@@ -1,10 +1,28 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"net"
+	"net/http"
+	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 )
+
+// TestMain doubles as the daemon: with RESURVEYD_TEST_MAIN set, the
+// test binary runs main() on its command-line arguments instead of the
+// tests, so TestSIGTERMRightAfterStart can signal a real process.
+func TestMain(m *testing.M) {
+	if os.Getenv("RESURVEYD_TEST_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
 
 func TestParseFlags(t *testing.T) {
 	o, err := parseFlags([]string{"-data-dir", "/tmp/jobs"})
@@ -45,5 +63,90 @@ func TestParseFlagsRejects(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("parseFlags(%v) = %v, want error containing %q", c.args, err, c.want)
 		}
+	}
+}
+
+// TestRunDrainsOnEarlyCancel: the shutdown signal arrives the moment
+// /healthz first answers; run must still drain and return nil. The
+// signal context exists before run starts anything, so no window lets
+// a signal kill the daemon undrained.
+func TestRunDrainsOnEarlyCancel(t *testing.T) {
+	addr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, options{Addr: addr, DataDir: t.TempDir(), DrainTimeout: 10 * time.Second})
+	}()
+	awaitHealthz(t, addr)
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run = %v after early cancel, want nil (drained)", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("run did not return after cancel")
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// awaitHealthz polls /healthz until it answers.
+func awaitHealthz(t *testing.T, addr string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get("http://" + addr + "/healthz")
+		if err == nil {
+			resp.Body.Close()
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz never answered: %v", err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestSIGTERMRightAfterStart runs the daemon as a child process and
+// sends SIGTERM the moment /healthz first answers: the process must
+// drain and exit 0. This covers the handler ordering in main, which
+// TestRunDrainsOnEarlyCancel (a cancelled context, no signal) cannot.
+func TestSIGTERMRightAfterStart(t *testing.T) {
+	addr := freeAddr(t)
+	cmd := exec.Command(os.Args[0], "-addr", addr, "-data-dir", t.TempDir(), "-drain-timeout", "10s")
+	cmd.Env = append(os.Environ(), "RESURVEYD_TEST_MAIN=1")
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	awaitHealthz(t, addr)
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cmd.Wait() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("daemon exited %v after an early SIGTERM, want 0 (drained); output:\n%s", err, out.String())
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("daemon still running 15s after SIGTERM; output:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "resurveyd: clean exit") {
+		t.Fatalf("no clean-exit line; output:\n%s", out.String())
 	}
 }

@@ -11,15 +11,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/optimize"
 	"repro/internal/telemetry"
-	"repro/internal/topo"
-	"repro/internal/vtime"
 )
 
 // Config holds the shared flag values. Commands embed it in their own
@@ -70,160 +65,10 @@ type Config struct {
 	Strategy  string
 }
 
-// JobOptions is the portable description of one pipeline run — the
-// configuration fields with run semantics, separated from Config's
-// front-end concerns (manifest paths, metrics dumps, checkpoint
-// directories). The CLI flags map onto it via Config.Job, and
-// resurveyd job submissions unmarshal into it directly, so both front
-// ends validate and construct a run through the identical path.
-type JobOptions struct {
-	Small bool `json:"small,omitempty"`
-	// Scale names the topology size tier (small, paper, internet);
-	// empty defers to Small. See topo.ParseScale.
-	Scale       string  `json:"scale,omitempty"`
-	Seed        int64   `json:"seed,omitempty"`
-	Workers     int     `json:"workers,omitempty"`
-	Faults      float64 `json:"faults,omitempty"`
-	Incremental bool    `json:"incremental"`
-	// Workload selects a named virtual-clock workload (see
-	// core.WorkloadNames); empty runs the standard survey script.
-	Workload string `json:"workload,omitempty"`
-	// DurationSeconds bounds the workload's virtual horizon; 0 uses
-	// the named workload's default.
-	DurationSeconds int64 `json:"duration_seconds,omitempty"`
-	// RoundMode quantizes the workload to round boundaries (the
-	// compatibility scheduler) instead of event-granularity timers.
-	RoundMode bool `json:"round_mode,omitempty"`
-	// Scenario selects an adversarial scenario family (see
-	// faults.ScenarioNames) swept over ROV adoption; empty disables.
-	Scenario string `json:"scenario,omitempty"`
-	// ROV is the RPKI route-origin-validation adoption fraction in
-	// [0, 1]: the adoption-ladder cap for scenario sweeps, the
-	// deployed fraction for plain and workload runs (0 = off).
-	ROV float64 `json:"rov,omitempty"`
-	// Objective selects a policy-optimization search run targeting the
-	// given spec (see optimize.ParseSpec); empty disables.
-	Objective string `json:"objective,omitempty"`
-	// Budget bounds the search's candidate evaluations (0 scores only
-	// the baseline configuration).
-	Budget int `json:"budget,omitempty"`
-	// Strategy names the searcher ("hillclimb" or "evolve"); empty
-	// means hillclimb.
-	Strategy string `json:"strategy,omitempty"`
-}
-
-// WorkloadOptions converts the job's workload fields into the core
-// run options (zero value when no workload is selected).
-func (j JobOptions) WorkloadOptions() core.WorkloadOptions {
-	return core.WorkloadOptions{
-		Name:      j.Workload,
-		Duration:  vtime.Time(j.DurationSeconds),
-		RoundMode: j.RoundMode,
-	}
-}
-
-// Validate rejects job values the pipeline cannot honour — the single
-// check both the flag layer and the service's submission endpoint run,
-// so a config the CLI rejects is rejected by the server with the same
-// message, and vice versa.
-func (j JobOptions) Validate() error {
-	if math.IsNaN(j.Faults) || math.IsInf(j.Faults, 0) || j.Faults < 0 || j.Faults > 1 {
-		return fmt.Errorf("-faults intensity %v out of range: want 0 (off) or a value in (0, 1]", j.Faults)
-	}
-	if j.Scale != "" {
-		s, err := topo.ParseScale(j.Scale)
-		if err != nil {
-			return err
-		}
-		if j.Small && s != topo.ScaleSmall {
-			return fmt.Errorf("-small conflicts with -scale %s", s)
-		}
-	}
-	if j.Workers < 0 {
-		return fmt.Errorf("-workers %d out of range: want >= 0 (0 = GOMAXPROCS)", j.Workers)
-	}
-	if j.Workload != "" && !core.KnownWorkload(j.Workload) {
-		return fmt.Errorf("-workload %q unknown: want one of %v", j.Workload, core.WorkloadNames())
-	}
-	if j.DurationSeconds < 0 {
-		return fmt.Errorf("-duration %d out of range: want >= 0 (0 = workload default)", j.DurationSeconds)
-	}
-	if j.DurationSeconds > 0 && j.Workload == "" {
-		return fmt.Errorf("-duration requires -workload")
-	}
-	if j.Scenario != "" && !faults.KnownScenario(j.Scenario) {
-		return fmt.Errorf("-scenario %q unknown: want one of %v", j.Scenario, faults.ScenarioNames())
-	}
-	if j.Scenario != "" && j.Workload != "" {
-		return fmt.Errorf("-scenario conflicts with -workload (pick one run mode)")
-	}
-	if math.IsNaN(j.ROV) || math.IsInf(j.ROV, 0) || j.ROV < 0 || j.ROV > 1 {
-		return fmt.Errorf("-rov fraction %v out of range: want a value in [0, 1]", j.ROV)
-	}
-	if j.Objective != "" {
-		if _, err := optimize.ParseSpec(j.Objective); err != nil {
-			return err
-		}
-		if j.Workload != "" {
-			return fmt.Errorf("-objective conflicts with -workload (pick one run mode)")
-		}
-		if j.Scenario != "" {
-			return fmt.Errorf("-objective conflicts with -scenario (pick one run mode)")
-		}
-	}
-	if j.Budget < 0 {
-		return fmt.Errorf("-budget %d out of range: want >= 0 (0 = score the baseline only)", j.Budget)
-	}
-	if j.Budget > 0 && j.Objective == "" {
-		return fmt.Errorf("-budget requires -objective")
-	}
-	if j.Strategy != "" {
-		if _, err := optimize.NewSearcher(j.Strategy); err != nil {
-			return err
-		}
-		if j.Objective == "" {
-			return fmt.Errorf("-strategy requires -objective")
-		}
-	}
-	return nil
-}
-
-// PipelineOptions converts the job into core.Pipeline options, wiring
-// reg (nil is fine) as the metrics sink.
-func (j JobOptions) PipelineOptions(reg *telemetry.Registry) []core.PipelineOption {
-	opts := []core.PipelineOption{
-		core.WithSeed(j.Seed),
-		core.WithWorkers(j.Workers),
-		core.WithFaults(j.Faults),
-		core.WithScenario(j.Scenario),
-		core.WithROV(j.ROV),
-		core.WithIncremental(j.Incremental),
-		core.WithMetrics(reg),
-	}
-	if j.Small {
-		opts = append(opts, core.WithSmall())
-	}
-	if j.Scale != "" {
-		// Validate has already vetted the name; ParseScale cannot fail
-		// here, and WithScale overrides WithSmall inside the pipeline.
-		if s, err := topo.ParseScale(j.Scale); err == nil {
-			opts = append(opts, core.WithScale(s))
-		}
-	}
-	if j.Objective != "" {
-		opts = append(opts,
-			core.WithObjective(j.Objective),
-			core.WithBudget(j.Budget),
-			core.WithStrategy(j.Strategy))
-	}
-	return opts
-}
-
-// Pipeline builds the core.Pipeline the job describes; extra options
-// append after (and can thus override) the job-derived ones.
-func (j JobOptions) Pipeline(reg *telemetry.Registry, extra ...core.PipelineOption) *core.Pipeline {
-	return core.NewPipeline(append(j.PipelineOptions(reg), extra...)...)
-}
+// JobOptions is the portable description of one pipeline run (see
+// core.JobOptions): the CLI flags map onto it via Config.Job, and
+// resurveyd job submissions unmarshal into it directly.
+type JobOptions = core.JobOptions
 
 // Job extracts the run-defining subset of the parsed flags.
 func (c Config) Job() JobOptions {
@@ -262,8 +107,8 @@ const (
 	// FlagIncremental registers -incremental.
 	FlagIncremental
 	// FlagSnapshot registers -snapshot-dir and -resume. Not part of
-	// FlagAll: only commands that implement checkpointing (resurvey)
-	// opt in.
+	// FlagAll: only commands that implement checkpointing (resurvey
+	// and reoptimize) opt in.
 	FlagSnapshot
 	// FlagWorkload registers -workload, -duration, and -round. Not
 	// part of FlagAll: only commands that run virtual-clock workloads
@@ -306,7 +151,7 @@ func Register(fs *flag.FlagSet, c *Config, which Flags) {
 		fs.BoolVar(&c.Resume, "resume", c.Resume, "continue from the newest valid checkpoint in -snapshot-dir, skipping completed rounds; corrupt checkpoints fall back to the next-newest valid one, no usable checkpoint to a cold start; output is byte-identical to an uninterrupted run")
 	}
 	if which&FlagWorkload != 0 {
-		fs.StringVar(&c.Workload, "workload", c.Workload, "run a named virtual-clock workload instead of the survey script: update-storm, flap-cascade-rfd, diurnal-churn, or replay (reads an MRT trace on stdin); deterministic and byte-identical at any -workers width")
+		fs.StringVar(&c.Workload, "workload", c.Workload, "run a named virtual-clock workload instead of the survey script: update-storm, flap-cascade-rfd, diurnal-churn, or replay (reads the MRT update file given by -trace); deterministic and byte-identical at any -workers width")
 		fs.Int64Var(&c.Duration, "duration", c.Duration, "virtual horizon of the -workload run in seconds (0 = the workload's default)")
 		fs.BoolVar(&c.RoundMode, "round", c.RoundMode, "quantize the -workload to round boundaries (the historical round-granularity scheduler) instead of event-granularity timers")
 	}
@@ -350,11 +195,20 @@ func (c Config) NewRegistry() *telemetry.Registry {
 	return telemetry.New()
 }
 
-// PipelineOptions converts the parsed flags into core.Pipeline
-// options, wiring reg (from NewRegistry; nil is fine) as the metrics
-// sink.
-func (c Config) PipelineOptions(reg *telemetry.Registry) []core.PipelineOption {
-	return c.Job().PipelineOptions(reg)
+// CheckpointDir is where -snapshot-dir checkpoints go, resuming from
+// there under -resume; nil without -snapshot-dir. Skipped corrupt
+// checkpoints count as snapshot_checkpoint_corrupt_total in reg, and
+// the resume notes go to stderr under prog's name.
+func (c Config) CheckpointDir(prog string, reg *telemetry.Registry) *core.CheckpointDir {
+	if c.SnapshotDir == "" {
+		return nil
+	}
+	return &core.CheckpointDir{
+		Path:    c.SnapshotDir,
+		Resume:  c.Resume,
+		Logf:    func(format string, args ...any) { fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...) },
+		Corrupt: func(n int) { reg.Counter("snapshot_checkpoint_corrupt_total").Add(int64(n)) },
+	}
 }
 
 // Pipeline builds the core.Pipeline the flags describe; extra options

@@ -102,9 +102,10 @@ func TestJobValidationParity(t *testing.T) {
 func TestJobPipelineWiring(t *testing.T) {
 	j := JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25, Incremental: true}
 	pl := j.Pipeline(nil)
-	if pl.Seed() != 5 || pl.Workers() != 3 || pl.Faults() != 0.25 || !pl.Incremental() {
+	fo := pl.FaultSweepOptions()
+	if pl.Seed() != 5 || fo.Workers != 3 || fo.Intensities[len(fo.Intensities)-1] != 0.25 || !pl.Incremental() {
 		t.Errorf("pipeline carries seed=%d workers=%d faults=%v incremental=%v",
-			pl.Seed(), pl.Workers(), pl.Faults(), pl.Incremental())
+			pl.Seed(), fo.Workers, fo.Intensities, pl.Incremental())
 	}
 }
 
@@ -174,12 +175,8 @@ func TestOptimizeFlags(t *testing.T) {
 	// The fields must reach the pipeline (Job round-trips them like the
 	// server path does).
 	pl := Config{Objective: "probe:re=0.5,commodity=0.5,loss=0", Budget: 12, Strategy: "evolve"}.Job().Pipeline(nil)
-	if pl.Objective() != "probe:re=0.5,commodity=0.5,loss=0" || pl.Budget() != 12 || pl.Strategy() != "evolve" {
-		t.Errorf("pipeline carries objective=%q budget=%d strategy=%q",
-			pl.Objective(), pl.Budget(), pl.Strategy())
-	}
 	opts := pl.OptimizeOptions()
-	if opts.Objective == "" || opts.Budget != 12 || opts.Strategy != "evolve" {
+	if opts.Objective != "probe:re=0.5,commodity=0.5,loss=0" || opts.Budget != 12 || opts.Strategy != "evolve" {
 		t.Errorf("OptimizeOptions not threaded: %+v", opts)
 	}
 }
@@ -200,9 +197,10 @@ func TestNewRegistryNilWhenUnobserved(t *testing.T) {
 func TestPipelineWiring(t *testing.T) {
 	c := Config{Small: true, Seed: 5, Workers: 3, Faults: 0.25, Incremental: true}
 	pl := c.Pipeline(nil)
-	if pl.Seed() != 5 || pl.Workers() != 3 || pl.Faults() != 0.25 || !pl.Incremental() {
+	fo := pl.FaultSweepOptions()
+	if pl.Seed() != 5 || fo.Workers != 3 || fo.Intensities[len(fo.Intensities)-1] != 0.25 || !pl.Incremental() {
 		t.Errorf("pipeline carries seed=%d workers=%d faults=%v incremental=%v",
-			pl.Seed(), pl.Workers(), pl.Faults(), pl.Incremental())
+			pl.Seed(), fo.Workers, fo.Intensities, pl.Incremental())
 	}
 	if pl.SurveyOptions().Topology.Seed != 5 {
 		t.Errorf("survey topology seed = %d, want 5", pl.SurveyOptions().Topology.Seed)

@@ -9,13 +9,11 @@ package core
 // nested engine snapshot (bgp.Network.Snapshot), and the telemetry
 // registry state (telemetry.Registry.SaveState).
 //
-// The codec used to live in cmd/resurvey; it moved here so the
-// resident service (internal/serve) and the CLI share one format —
-// a job interrupted under either front end resumes under the other.
-// cmd/resurvey keeps only the -snapshot-dir file management.
+// The CLI and the resident service share this format and the
+// CheckpointDir that stores it — a job interrupted under either front
+// end resumes under the other.
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 
@@ -52,15 +50,27 @@ type CheckpointFingerprint struct {
 	NSeeds      int
 }
 
-// Checkpoint is one decoded RCKP file.
+// Checkpoint is one RCKP file: a survey run between two configuration
+// rounds. Survey.Checkpoint hands one out after every round with the
+// progress fields set; the caller adds the fingerprint and the nested
+// engine and telemetry states and persists it. Survey.Resume takes one
+// back to continue from.
 type Checkpoint struct {
 	Fingerprint CheckpointFingerprint
-	// Phase, Done, ChurnStart, and Start mirror SurveyCheckpoint.
-	Phase      int
-	Done       int
+	// Phase is 0 while the SURF experiment runs, 1 for Internet2.
+	Phase int
+	// Done counts completed configuration rounds of the in-flight
+	// experiment.
+	Done int
+	// ChurnStart is the in-flight experiment's churn-log index at the
+	// start of its measured window.
 	ChurnStart int
-	Start      bgp.Time
-	// Rounds and Origins are the in-flight experiment's partial output.
+	// Start is the in-flight experiment's start time. For Phase 1 this
+	// is the value a resumed run cannot recompute (it derives from the
+	// network clock after the SURF teardown).
+	Start bgp.Time
+	// Rounds and Origins are the in-flight experiment's partial output:
+	// its probe rounds and seeded per-peer collector origins.
 	Rounds  []*probe.Round
 	Origins map[uint32]*PeerView
 	// SURF is the completed first experiment's result (Phase 1 only).
@@ -69,60 +79,9 @@ type Checkpoint struct {
 	// telemetry.Registry.SaveState (empty when the run had no registry).
 	Engine    []byte
 	Telemetry []byte
-}
-
-// BuildCheckpoint assembles an encodable Checkpoint from the
-// survey-level progress callback's payload plus the run's fingerprint,
-// snapshotting the engine (and, when instrumented, the registry).
-func BuildCheckpoint(fp CheckpointFingerprint, ck SurveyCheckpoint, net *bgp.Network, reg *telemetry.Registry) (*Checkpoint, error) {
-	c := &Checkpoint{
-		Fingerprint: fp,
-		Phase:       ck.Phase,
-		Done:        ck.Done,
-		ChurnStart:  ck.ChurnStart,
-		Start:       ck.Start,
-		Rounds:      ck.Partial.Rounds,
-		Origins:     ck.Partial.CollectorOrigins,
-		SURF:        ck.SURF,
-	}
-	var eng bytes.Buffer
-	if err := net.Snapshot(&eng); err != nil {
-		return nil, err
-	}
-	c.Engine = eng.Bytes()
-	if reg != nil {
-		var tb bytes.Buffer
-		if err := reg.SaveState(&tb); err != nil {
-			return nil, err
-		}
-		c.Telemetry = tb.Bytes()
-	}
-	return c, nil
-}
-
-// Resume converts the checkpoint into the SurveyResume a freshly
-// built survey continues from. openSpans is LoadState's return value
-// when the caller restored the checkpoint's telemetry state (the
-// innermost open span is adopted as the in-flight experiment span);
-// nil when the run is uninstrumented.
-func (c *Checkpoint) Resume(openSpans []*telemetry.Span) *SurveyResume {
-	r := &SurveyResume{
-		Phase: c.Phase,
-		Exp: &ExperimentResume{
-			Done:             c.Done,
-			ChurnStart:       c.ChurnStart,
-			Rounds:           c.Rounds,
-			CollectorOrigins: c.Origins,
-		},
-	}
-	if len(openSpans) > 0 {
-		r.Exp.Span = openSpans[len(openSpans)-1]
-	}
-	if c.Phase == 1 {
-		r.SURF = c.SURF
-		r.StartI2 = c.Start
-	}
-	return r
+	// Span is the in-flight experiment span reopened by restoring
+	// Telemetry (never encoded).
+	Span *telemetry.Span
 }
 
 // Encode serializes the checkpoint as an RCKP container.

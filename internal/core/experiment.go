@@ -106,35 +106,20 @@ type Experiment struct {
 	// pure observer for streaming front ends; nothing in the result
 	// depends on it.
 	Progress func(RoundProgress)
-	// Resume, when non-nil, fast-forwards Run past the first Done
-	// configuration rounds: the network must already hold the
-	// checkpointed engine state, and Resume carries the outputs those
-	// rounds produced.
-	Resume *ExperimentResume
+	// Resume, when non-nil, fast-forwards Run past the checkpoint's
+	// first Done configuration rounds: the network must already hold
+	// the checkpointed engine state, and the checkpoint carries the
+	// outputs those rounds produced (Rounds, Origins, ChurnStart — the
+	// restored network's churn log includes everything since the world
+	// was built, so the index stays valid). A non-nil Span is the
+	// still-open experiment span reloaded from the telemetry state; Run
+	// adopts it instead of opening a second one.
+	Resume *Checkpoint
 
 	// converged marks the network as already carrying this experiment's
 	// post-convergence announcement state (see MarkConverged), so Run
 	// skips the origination batch and its full initial convergence.
 	converged bool
-}
-
-// ExperimentResume carries the progress a resumed Run starts from.
-type ExperimentResume struct {
-	// Done is the number of configuration rounds already completed.
-	Done int
-	// ChurnStart is the churn-log index at the start of the measured
-	// window (the restored network's log includes everything since the
-	// world was built, so the index stays valid across restore).
-	ChurnStart int
-	// Rounds are the probe rounds the completed configurations produced.
-	Rounds []*probe.Round
-	// CollectorOrigins is the seeded per-peer origin view (filled at the
-	// start of the measured window; the loop itself never touches it).
-	CollectorOrigins map[uint32]*PeerView
-	// Span, when non-nil, is the still-open experiment span reloaded
-	// from a telemetry checkpoint; Run adopts it instead of opening a
-	// second one.
-	Span *telemetry.Span
 }
 
 // MarkConverged declares that the experiment's network already holds
@@ -287,7 +272,7 @@ func (x *Experiment) RunContext(ctx context.Context) (*Result, error) {
 			res.Configs = append(res.Configs, cfg)
 			res.ConfigTimes = append(res.ConfigTimes, x.Cfg.Start+bgp.Time(i)*x.Cfg.RoundGap)
 		}
-		for as, pv := range x.Resume.CollectorOrigins {
+		for as, pv := range x.Resume.Origins {
 			res.CollectorOrigins[as] = pv
 		}
 		churnStart = x.Resume.ChurnStart

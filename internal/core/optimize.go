@@ -16,7 +16,7 @@ import (
 )
 
 // This file is the bridge between the pure search machinery in
-// internal/optimize and a live measurement world: RunOptimize builds
+// internal/optimize and a live measurement world: RunOptimizeContext builds
 // one converged survey, snapshots the pristine fork point, and then
 // evaluates every candidate configuration by rewinding that snapshot
 // and pushing the candidate's traffic-engineering delta through the
@@ -324,12 +324,6 @@ func (ev *policyEvaluator) measure(slot *optSlot, c optimize.Candidate, st0 bgp.
 	return e, nil
 }
 
-// RunOptimize runs the policy-optimization search (see
-// RunOptimizeContext).
-func RunOptimize(opts OptimizeOptions) (*OptimizeResult, error) {
-	return RunOptimizeContext(context.Background(), opts)
-}
-
 // RunOptimizeContext builds one survey world, converges the baseline
 // announcement, snapshots the pristine fork point, and searches the
 // configuration space by warm-started evaluation. The driver world is
@@ -467,10 +461,10 @@ func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeRes
 	return res, nil
 }
 
-// WriteOptimizeReport renders the search outcome: the score-vs-budget
-// trajectory table and the headline summary. Output is fully
-// deterministic (no timings, no addresses).
-func WriteOptimizeReport(w io.Writer, res *OptimizeResult) error {
+// WriteText renders the search outcome: the score-vs-budget trajectory
+// table and the headline summary. Output is fully deterministic (no
+// timings, no addresses).
+func (res *OptimizeResult) WriteText(w io.Writer) error {
 	t := &report.Table{
 		Title:   fmt.Sprintf("Optimization trajectory (%s, %s)", res.Objective, res.Strategy),
 		Headers: []string{"Generation", "Evaluated", "Best score", "Best config"},

@@ -30,12 +30,12 @@ func optimizeArtifacts(t *testing.T, opts OptimizeOptions) (report, manifest, st
 	t.Helper()
 	reg := telemetry.New()
 	opts.Metrics = reg
-	res, err := RunOptimize(opts)
+	res, err := RunOptimizeContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var rep bytes.Buffer
-	if err := WriteOptimizeReport(&rep, res); err != nil {
+	if err := res.WriteText(&rep); err != nil {
 		t.Fatal(err)
 	}
 	m, err := reg.Snapshot(telemetry.SnapshotOptions{Seed: opts.SearchSeed, ZeroDurations: true})
@@ -175,7 +175,7 @@ func TestOptimizeEvaluationPreservesPristine(t *testing.T) {
 func TestOptimizeZeroBudget(t *testing.T) {
 	opts := optTestOptions("hillclimb", 2)
 	opts.Budget = 0
-	res, err := RunOptimize(opts)
+	res, err := RunOptimizeContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestOptimizeZeroBudget(t *testing.T) {
 		t.Fatalf("zero-budget best score %v != baseline score %v", res.Best.Score, res.BaselineScore)
 	}
 	var rep bytes.Buffer
-	if err := WriteOptimizeReport(&rep, res); err != nil {
+	if err := res.WriteText(&rep); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -202,13 +202,13 @@ func TestOptimizeZeroBudget(t *testing.T) {
 func TestOptimizeWarmStartSavings(t *testing.T) {
 	warmOpts := optTestOptions("evolve", 2)
 	warmOpts.Budget = 4
-	warm, err := RunOptimize(warmOpts)
+	warm, err := RunOptimizeContext(context.Background(), warmOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	coldOpts := warmOpts
 	coldOpts.Cold = true
-	cold, err := RunOptimize(coldOpts)
+	cold, err := RunOptimizeContext(context.Background(), coldOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestOptimizeReachesTarget(t *testing.T) {
 	for _, strategy := range []string{"hillclimb", "evolve"} {
 		opts := optTestOptions(strategy, 4)
 		opts.Budget = 12
-		res, err := RunOptimize(opts)
+		res, err := RunOptimizeContext(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 	opts.Checkpoint = func(state []byte, _ OptimizeProgress) {
 		blobs = append(blobs, append([]byte(nil), state...))
 	}
-	full, err := RunOptimize(opts)
+	full, err := RunOptimizeContext(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 
 	resumeOpts := optTestOptions("evolve", 8)
 	resumeOpts.Resume = blobs[0]
-	resumed, err := RunOptimize(resumeOpts)
+	resumed, err := RunOptimizeContext(context.Background(), resumeOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 	// A checkpoint from a different search must be refused.
 	other := optTestOptions("hillclimb", 2)
 	other.Resume = blobs[0]
-	if _, err := RunOptimize(other); err == nil {
+	if _, err := RunOptimizeContext(context.Background(), other); err == nil {
 		t.Fatal("resume accepted a checkpoint from a different strategy")
 	}
 }
@@ -302,7 +302,7 @@ func TestOptimizePipelineWiring(t *testing.T) {
 	if want := parallel.SubSeed(11, optimizeSeedStream); opts.SearchSeed != want {
 		t.Fatalf("search seed %d, want SubSeed(11, optimizeSeedStream) = %d", opts.SearchSeed, want)
 	}
-	if NewPipeline().Strategy() != "hillclimb" {
+	if NewPipeline().OptimizeOptions().Strategy != "hillclimb" {
 		t.Fatal("default strategy is not hillclimb")
 	}
 }

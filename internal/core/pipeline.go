@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"repro/internal/faults"
 	"repro/internal/parallel"
 	"repro/internal/telemetry"
@@ -200,26 +198,9 @@ func NewPipeline(opts ...PipelineOption) *Pipeline {
 // Seed returns the resolved session (topology) seed.
 func (p *Pipeline) Seed() int64 { return p.survey.Topology.Seed }
 
-// Workers returns the configured worker bound (0 = GOMAXPROCS).
-func (p *Pipeline) Workers() int { return p.workers }
-
-// Faults returns the configured max fault-sweep intensity (0 = off).
-func (p *Pipeline) Faults() float64 { return p.faults }
-
-// Scenario returns the configured scenario family ("" = off).
-func (p *Pipeline) Scenario() string { return p.scenario }
-
-// ROV returns the configured route-origin-validation adoption
-// fraction (0 = off / full default ladder for sweeps).
-func (p *Pipeline) ROV() float64 { return p.rov }
-
 // Incremental reports whether pipelines built here use the
 // incremental recomputation path.
 func (p *Pipeline) Incremental() bool { return p.incremental }
-
-// Metrics returns the registry the pipeline instruments with (nil
-// when telemetry is disabled).
-func (p *Pipeline) Metrics() *telemetry.Registry { return p.metrics }
 
 // SurveyOptions returns the resolved survey configuration.
 func (p *Pipeline) SurveyOptions() SurveyOptions { return p.survey }
@@ -256,62 +237,26 @@ func (p *Pipeline) FaultSweepOptions() FaultSweepOptions {
 	return fopts
 }
 
-// RunFaultSweep runs the fault-intensity sweep the pipeline implies
-// (see FaultSweepOptions).
-func (p *Pipeline) RunFaultSweep() []FaultSweepPoint {
-	return RunFaultSweep(p.FaultSweepOptions())
-}
-
-// RunFaultSweepContext is RunFaultSweep with cooperative cancellation
-// (see RunFaultSweepContext's package-level doc) — the entry point
-// resurveyd's sweep jobs use so per-job deadlines and cancellation
-// stop the sweep between rounds.
-func (p *Pipeline) RunFaultSweepContext(ctx context.Context) ([]FaultSweepPoint, error) {
-	return RunFaultSweepContext(ctx, p.FaultSweepOptions())
-}
-
-// Objective returns the configured optimization target ("" = off).
-func (p *Pipeline) Objective() string { return p.objective }
-
-// Budget returns the optimizer's candidate-evaluation budget.
-func (p *Pipeline) Budget() int { return p.budget }
-
-// Strategy returns the optimizer's search strategy (defaulted to
-// "hillclimb" when unset).
-func (p *Pipeline) Strategy() string {
-	if p.strategy == "" {
-		return "hillclimb"
-	}
-	return p.strategy
-}
-
 // OptimizeOptions returns the policy-optimization configuration the
 // pipeline implies: the session survey, the search seed derived via
 // parallel.SubSeed(seed, optimizeSeedStream), and the pipeline's
-// objective, budget, strategy, worker bound, engine mode, and registry.
+// objective, budget, strategy (hillclimb when unset), worker bound,
+// engine mode, and registry.
 func (p *Pipeline) OptimizeOptions() OptimizeOptions {
+	strategy := p.strategy
+	if strategy == "" {
+		strategy = "hillclimb"
+	}
 	return OptimizeOptions{
 		Survey:      p.survey,
 		Objective:   p.objective,
-		Strategy:    p.Strategy(),
+		Strategy:    strategy,
 		Budget:      p.budget,
 		Workers:     p.workers,
 		SearchSeed:  parallel.SubSeed(p.Seed(), optimizeSeedStream),
 		Incremental: p.incremental,
 		Metrics:     p.metrics,
 	}
-}
-
-// RunOptimize runs the policy-optimization search the pipeline implies
-// (see OptimizeOptions).
-func (p *Pipeline) RunOptimize() (*OptimizeResult, error) {
-	return RunOptimize(p.OptimizeOptions())
-}
-
-// RunOptimizeContext is RunOptimize with cooperative cancellation —
-// the entry point resurveyd's optimize jobs use.
-func (p *Pipeline) RunOptimizeContext(ctx context.Context) (*OptimizeResult, error) {
-	return RunOptimizeContext(ctx, p.OptimizeOptions())
 }
 
 // ScenarioSweepOptions returns the scenario-sweep configuration the
@@ -333,39 +278,25 @@ func (p *Pipeline) ScenarioSweepOptions() ScenarioSweepOptions {
 	return sopts
 }
 
-// RunScenarioSweep runs the scenario sweep the pipeline implies (see
-// ScenarioSweepOptions).
-func (p *Pipeline) RunScenarioSweep() ([]ScenarioPoint, error) {
-	return RunScenarioSweep(p.ScenarioSweepOptions())
-}
-
-// RunScenarioSweepContext is RunScenarioSweep with cooperative
-// cancellation — the entry point resurveyd's scenario jobs use.
-func (p *Pipeline) RunScenarioSweepContext(ctx context.Context) ([]ScenarioPoint, error) {
-	return RunScenarioSweepContext(ctx, p.ScenarioSweepOptions())
-}
-
 // ScenarioAdoptions selects the adoption ladder for a max fraction:
 // the default ladder truncated at max, with max itself as the final
 // point.
 func ScenarioAdoptions(max float64) []float64 {
-	var out []float64
-	for _, a := range DefaultScenarioSweepOptions(faults.ScenarioHijack).Adoptions {
-		if a < max {
-			out = append(out, a)
-		}
-	}
-	return append(out, max)
+	return ladderTo(DefaultScenarioSweepOptions(faults.ScenarioHijack).Adoptions, max)
 }
 
 // SweepIntensities selects the fault-sweep points for a max intensity:
 // the default ladder truncated at max, with max itself as the final
 // point.
 func SweepIntensities(max float64) []float64 {
+	return ladderTo(DefaultFaultSweepOptions().Intensities, max)
+}
+
+func ladderTo(ladder []float64, max float64) []float64 {
 	var out []float64
-	for _, i := range DefaultFaultSweepOptions().Intensities {
-		if i < max {
-			out = append(out, i)
+	for _, v := range ladder {
+		if v < max {
+			out = append(out, v)
 		}
 	}
 	return append(out, max)

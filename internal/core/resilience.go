@@ -23,7 +23,7 @@ import (
 // operator email (§4.1.2). It quantifies how much fault intensity
 // Table 1's shape tolerates.
 
-// FaultSweepOptions configures RunFaultSweep.
+// FaultSweepOptions configures RunFaultSweepContext.
 type FaultSweepOptions struct {
 	// Survey is the world configuration rebuilt fresh at every
 	// intensity point, so points are independent and each is exactly
@@ -100,12 +100,12 @@ type FaultSweepPoint struct {
 	MeanConfidence float64
 }
 
-// RunFaultSweep measures inference quality as fault intensity rises.
-// At intensity 0 the entire fault and resilience subsystem is disabled
-// — no schedule, no retry, quorum 0 — so the first point reproduces
-// the baseline pipeline bit-for-bit. At nonzero intensity the injector
-// drives the schedule through the experiment while the retry policy
-// and evidence quorum defend the classification.
+// RunFaultSweepContext measures inference quality as fault intensity
+// rises. At intensity 0 the entire fault and resilience subsystem is
+// disabled — no schedule, no retry, quorum 0 — so the first point
+// reproduces the baseline pipeline bit-for-bit. At nonzero intensity
+// the injector drives the schedule through the experiment while the
+// retry policy and evidence quorum defend the classification.
 //
 // Points are independent (each rebuilds its own world) and run one
 // per worker. To keep telemetry merge-order independent, each point
@@ -115,18 +115,12 @@ type FaultSweepPoint struct {
 // any Workers value. Within a point, probing and classification run
 // single-worker: the sweep's parallelism budget is spent across
 // points.
-func RunFaultSweep(opts FaultSweepOptions) []FaultSweepPoint {
-	// The background context never cancels, so the error path is dead.
-	pts, _ := RunFaultSweepContext(context.Background(), opts)
-	return pts
-}
-
-// RunFaultSweepContext is RunFaultSweep with cooperative
-// cancellation: the context is checked before each intensity point
-// starts and between the experiment rounds inside a point, so a
-// cancelled or deadline-expired context stops the sweep within one
-// round and returns the context's error with nil points. Sweep points
-// are independent worlds, so there is no partial state to unwind.
+//
+// The context is checked before each intensity point starts and
+// between the experiment rounds inside a point, so a cancelled or
+// deadline-expired context stops the sweep within one round and
+// returns the context's error with nil points. Sweep points are
+// independent worlds, so there is no partial state to unwind.
 func RunFaultSweepContext(ctx context.Context, opts FaultSweepOptions) ([]FaultSweepPoint, error) {
 	if len(opts.Intensities) == 0 {
 		opts.Intensities = DefaultFaultSweepOptions().Intensities
@@ -159,33 +153,43 @@ func RunFaultSweepContext(ctx context.Context, opts FaultSweepOptions) ([]FaultS
 		sp.End()
 		opts.Metrics.Merge(baseReg)
 	}
+	return sweepPoints(ctx, len(opts.Intensities), opts.Workers, "faultsweep", opts.Metrics,
+		func(i int, reg *telemetry.Registry) FaultSweepPoint {
+			return runFaultPoint(ctx, opts, opts.Intensities[i], baseSnap, reg)
+		})
+}
+
+// sweepPoints runs n independent sweep points, one per worker. Each
+// point records into a private sub-registry; the sub-registries merge
+// into metrics in point order once all points finish, so the merged
+// registry is identical for any worker count. A cancelled ctx skips
+// the remaining points and returns its error with nil points.
+func sweepPoints[P any](ctx context.Context, n, workers int, phase string, metrics *telemetry.Registry,
+	run func(i int, reg *telemetry.Registry) P) ([]P, error) {
 	type pointOut struct {
-		pt  FaultSweepPoint
+		pt  P
 		reg *telemetry.Registry
 	}
-	outs, timings := parallel.CollectTimed(len(opts.Intensities), 1, opts.Workers,
-		func(s parallel.Shard) pointOut {
-			if ctx.Err() != nil {
-				// Cancelled: skip the point entirely; the caller discards
-				// the whole sweep below.
-				return pointOut{}
-			}
-			var reg *telemetry.Registry
-			if opts.Metrics != nil {
-				reg = telemetry.New()
-			}
-			return pointOut{pt: runFaultPoint(ctx, opts, opts.Intensities[s.Lo], baseSnap, reg), reg: reg}
-		})
+	outs, timings := parallel.CollectTimed(n, 1, workers, func(s parallel.Shard) pointOut {
+		if ctx.Err() != nil {
+			return pointOut{}
+		}
+		var reg *telemetry.Registry
+		if metrics != nil {
+			reg = telemetry.New()
+		}
+		return pointOut{pt: run(s.Lo, reg), reg: reg}
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	points := make([]FaultSweepPoint, 0, len(outs))
+	points := make([]P, 0, len(outs))
 	for _, o := range outs {
-		opts.Metrics.Merge(o.reg)
+		metrics.Merge(o.reg)
 		points = append(points, o.pt)
 	}
 	for _, t := range timings {
-		opts.Metrics.AddShardTiming("faultsweep", t.Shard, t.Items, t.Duration)
+		metrics.AddShardTiming(phase, t.Shard, t.Items, t.Duration)
 	}
 	return points, nil
 }

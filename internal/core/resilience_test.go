@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func sweepOnce(t *testing.T, intensity float64) FaultSweepPoint {
 	t.Helper()
 	opts := DefaultFaultSweepOptions()
 	opts.Intensities = []float64{intensity}
-	pts := RunFaultSweep(opts)
+	pts, _ := RunFaultSweepContext(context.Background(), opts)
 	if len(pts) != 1 {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -118,7 +119,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 func TestFaultSweepTable(t *testing.T) {
 	opts := DefaultFaultSweepOptions()
 	opts.Intensities = []float64{0, 1}
-	pts := RunFaultSweep(opts)
+	pts, _ := RunFaultSweepContext(context.Background(), opts)
 	out := FaultSweepTable(pts).String()
 	if !strings.Contains(out, "0.00") || !strings.Contains(out, "1.00") {
 		t.Errorf("table missing intensity rows:\n%s", out)

@@ -33,15 +33,14 @@ type Survey struct {
 	Workers int
 	// Checkpoint, when non-nil, fires after every configuration round
 	// of either experiment with the survey-level progress; callers
-	// persist it (together with a bgp.Network.Snapshot and, when
-	// instrumented, telemetry.Registry.SaveState) to make the run
-	// resumable.
-	Checkpoint func(ck SurveyCheckpoint)
+	// persist it (adding a bgp.Network.Snapshot and, when instrumented,
+	// telemetry.Registry.SaveState) to make the run resumable.
+	Checkpoint func(ck *Checkpoint)
 	// Resume, when non-nil, makes RunBoth continue a checkpointed run
 	// instead of starting cold. The survey's network must already hold
 	// the checkpointed engine state (bgp.RestoreNetwork) and its
 	// registry the checkpointed telemetry state.
-	Resume *SurveyResume
+	Resume *Checkpoint
 	// Progress, when non-nil, fires after every configuration round of
 	// either experiment (phase 0 = SURF, 1 = Internet2) — the hook
 	// streaming front ends (resurveyd's SSE feed) subscribe to. Pure
@@ -50,40 +49,6 @@ type Survey struct {
 
 	SURF      *Result
 	Internet2 *Result
-}
-
-// SurveyCheckpoint is the survey-level progress handed to the
-// Checkpoint hook: which experiment is in flight, how far it got, and
-// the partial outputs a resumed run needs to carry forward.
-type SurveyCheckpoint struct {
-	// Phase is 0 while the SURF experiment runs, 1 for Internet2.
-	Phase int
-	// Done counts completed configuration rounds of the in-flight
-	// experiment.
-	Done int
-	// ChurnStart is the in-flight experiment's churn-log index at the
-	// start of its measured window.
-	ChurnStart int
-	// Start is the in-flight experiment's start time. For Phase 1 this
-	// is the value a resumed run cannot recompute (it derives from the
-	// network clock after the SURF teardown).
-	Start bgp.Time
-	// Partial is the in-flight experiment's result so far (Rounds and
-	// the seeded CollectorOrigins are filled; classification is not).
-	Partial *Result
-	// SURF is the completed first experiment's result when Phase is 1.
-	SURF *Result
-}
-
-// SurveyResume carries a SurveyCheckpoint back into RunBoth.
-type SurveyResume struct {
-	// Phase and Exp locate the round to continue from.
-	Phase int
-	Exp   *ExperimentResume
-	// SURF is the completed first experiment's result (Phase 1 only).
-	SURF *Result
-	// StartI2 is the Internet2 experiment's start time (Phase 1 only).
-	StartI2 bgp.Time
 }
 
 // SetMetrics wires the whole survey — BGP engine, prober, and the
@@ -220,7 +185,7 @@ func (s *Survey) RunBothContext(ctx context.Context) error {
 		x1.Checkpoint = s.checkpointHook(0, surfStart)
 		x1.Progress = s.progressHook(0)
 		if s.Resume != nil {
-			x1.Resume = s.Resume.Exp
+			x1.Resume = s.Resume
 		}
 		res, err := x1.RunContext(ctx)
 		if err != nil {
@@ -234,7 +199,7 @@ func (s *Survey) RunBothContext(ctx context.Context) error {
 
 	var i2Start bgp.Time
 	if s.Resume != nil && s.Resume.Phase == 1 {
-		i2Start = s.Resume.StartI2
+		i2Start = s.Resume.Start
 	} else {
 		i2Start = s.Eco.Net.Now() + 7*24*3600
 	}
@@ -245,7 +210,7 @@ func (s *Survey) RunBothContext(ctx context.Context) error {
 	x2.Checkpoint = s.checkpointHook(1, i2Start)
 	x2.Progress = s.progressHook(1)
 	if s.Resume != nil && s.Resume.Phase == 1 {
-		x2.Resume = s.Resume.Exp
+		x2.Resume = s.Resume
 	}
 	res, err := x2.RunContext(ctx)
 	if err != nil {
@@ -272,12 +237,13 @@ func (s *Survey) checkpointHook(phase int, start bgp.Time) func(int, int, *Resul
 		return nil
 	}
 	return func(done, churnStart int, res *Result) {
-		ck := SurveyCheckpoint{
+		ck := &Checkpoint{
 			Phase:      phase,
 			Done:       done,
 			ChurnStart: churnStart,
 			Start:      start,
-			Partial:    res,
+			Rounds:     res.Rounds,
+			Origins:    res.CollectorOrigins,
 		}
 		if phase == 1 {
 			ck.SURF = s.SURF

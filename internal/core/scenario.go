@@ -23,14 +23,13 @@ import (
 	"repro/internal/bgp"
 	"repro/internal/faults"
 	"repro/internal/netutil"
-	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/rpki"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 )
 
-// ScenarioSweepOptions configures RunScenarioSweep.
+// ScenarioSweepOptions configures RunScenarioSweepContext.
 type ScenarioSweepOptions struct {
 	// Survey is the world configuration rebuilt fresh at every
 	// adoption point (and once for the baseline), so points are
@@ -118,11 +117,6 @@ type ScenarioPoint struct {
 	Accuracy   float64
 }
 
-// RunScenarioSweep runs the sweep on a background context.
-func RunScenarioSweep(opts ScenarioSweepOptions) ([]ScenarioPoint, error) {
-	return RunScenarioSweepContext(context.Background(), opts)
-}
-
 // RunScenarioSweepContext runs the baseline plus one point per
 // adoption fraction, each against its own freshly built world, one
 // point per worker. Telemetry merges in point order (baseline first),
@@ -136,37 +130,14 @@ func RunScenarioSweepContext(ctx context.Context, opts ScenarioSweepOptions) ([]
 	if len(opts.Adoptions) == 0 {
 		opts.Adoptions = DefaultScenarioSweepOptions(opts.Scenario).Adoptions
 	}
-	type pointOut struct {
-		pt  ScenarioPoint
-		reg *telemetry.Registry
-	}
-	n := 1 + len(opts.Adoptions) // baseline + adoption points
-	outs, timings := parallel.CollectTimed(n, 1, opts.Workers,
-		func(s parallel.Shard) pointOut {
-			if ctx.Err() != nil {
-				return pointOut{}
+	// Point 0 is the baseline; the adoption points follow.
+	return sweepPoints(ctx, 1+len(opts.Adoptions), opts.Workers, "scenariosweep", opts.Metrics,
+		func(i int, reg *telemetry.Registry) ScenarioPoint {
+			if i == 0 {
+				return runScenarioPoint(ctx, opts, 0, true, reg)
 			}
-			var reg *telemetry.Registry
-			if opts.Metrics != nil {
-				reg = telemetry.New()
-			}
-			if s.Lo == 0 {
-				return pointOut{pt: runScenarioPoint(ctx, opts, 0, true, reg), reg: reg}
-			}
-			return pointOut{pt: runScenarioPoint(ctx, opts, opts.Adoptions[s.Lo-1], false, reg), reg: reg}
+			return runScenarioPoint(ctx, opts, opts.Adoptions[i-1], false, reg)
 		})
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	points := make([]ScenarioPoint, 0, len(outs))
-	for _, o := range outs {
-		opts.Metrics.Merge(o.reg)
-		points = append(points, o.pt)
-	}
-	for _, t := range timings {
-		opts.Metrics.AddShardTiming("scenariosweep", t.Shard, t.Items, t.Duration)
-	}
-	return points, nil
 }
 
 // runScenarioPoint executes one point against its own freshly built

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -17,7 +18,7 @@ func sweepDecisionEvals(warm bool) (total, converge int64) {
 	opts.Intensities = []float64{0, 0.1, 0.25, 0.5}
 	opts.WarmStart = warm
 	opts.Metrics = telemetry.New()
-	RunFaultSweep(opts)
+	RunFaultSweepContext(context.Background(), opts)
 	return opts.Metrics.Counter("bgp_decision_runs_total").Value(),
 		opts.Metrics.Counter("core_initial_convergence_decision_runs_total").Value()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -19,7 +20,8 @@ func TestWarmSweepMatchesCold(t *testing.T) {
 		opts.Intensities = []float64{0, 0.5}
 		opts.WarmStart = warm
 		opts.Metrics = telemetry.New()
-		return RunFaultSweep(opts), opts.Metrics
+		pts, _ := RunFaultSweepContext(context.Background(), opts)
+		return pts, opts.Metrics
 	}
 	cold, _ := run(false)
 	warm, reg := run(true)
@@ -114,14 +116,14 @@ func TestSurveyCheckpointResume(t *testing.T) {
 	for _, tc := range []struct{ phase, done int }{{0, 2}, {1, 3}, {1, len(Schedule())}} {
 		opts := SmallSurveyOptions()
 		type saved struct {
-			ck      SurveyCheckpoint
+			ck      *Checkpoint
 			engine  []byte
 			rounds  []*probe.Round
 			origins map[uint32]*PeerView
 		}
 		var got *saved
 		cold := NewSurvey(opts)
-		cold.Checkpoint = func(ck SurveyCheckpoint) {
+		cold.Checkpoint = func(ck *Checkpoint) {
 			if ck.Phase != tc.phase || ck.Done != tc.done {
 				return
 			}
@@ -132,8 +134,8 @@ func TestSurveyCheckpointResume(t *testing.T) {
 			got = &saved{
 				ck:      ck,
 				engine:  buf.Bytes(),
-				rounds:  append([]*probe.Round(nil), ck.Partial.Rounds...),
-				origins: deepCopyOrigins(ck.Partial.CollectorOrigins),
+				rounds:  append([]*probe.Round(nil), ck.Rounds...),
+				origins: deepCopyOrigins(ck.Origins),
 			}
 		}
 		cold.RunBoth()
@@ -145,18 +147,14 @@ func TestSurveyCheckpointResume(t *testing.T) {
 		if err := bgp.RestoreNetwork(bytes.NewReader(got.engine), res.Eco.Net); err != nil {
 			t.Fatalf("restore: %v", err)
 		}
-		res.Resume = &SurveyResume{
-			Phase: got.ck.Phase,
-			Exp: &ExperimentResume{
-				Done:             got.ck.Done,
-				ChurnStart:       got.ck.ChurnStart,
-				Rounds:           got.rounds,
-				CollectorOrigins: got.origins,
-			},
-		}
-		if got.ck.Phase == 1 {
-			res.Resume.SURF = got.ck.SURF
-			res.Resume.StartI2 = got.ck.Start
+		res.Resume = &Checkpoint{
+			Phase:      got.ck.Phase,
+			Done:       got.ck.Done,
+			ChurnStart: got.ck.ChurnStart,
+			Start:      got.ck.Start,
+			Rounds:     got.rounds,
+			Origins:    got.origins,
+			SURF:       got.ck.SURF,
 		}
 		res.RunBoth()
 

@@ -17,6 +17,7 @@ package core
 // pure function of (name, seed, duration) at any -workers width.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -109,8 +110,8 @@ func defaultWorkloadDuration(name string) vtime.Time {
 // deterministic for a given (name, seed, duration); SpeedupRatio is
 // the only wall-clock-derived value and is excluded from manifests.
 type WorkloadResult struct {
-	Name     string
-	Duration vtime.Time
+	Name      string
+	Duration  vtime.Time
 	RoundMode bool
 
 	// EventsByKind counts applied workload events per kind name.
@@ -144,8 +145,9 @@ type WorkloadResult struct {
 // RunWorkload builds the pipeline's survey, converges it, and drives
 // the named workload through the virtual-clock engine. When the
 // pipeline has no registry a private one is created so the BGP and
-// engine counters in the result are always populated.
-func (p *Pipeline) RunWorkload(opts WorkloadOptions) (*WorkloadResult, error) {
+// engine counters in the result are always populated. ctx is checked
+// between event dispatches; cancellation returns its error.
+func (p *Pipeline) RunWorkload(ctx context.Context, opts WorkloadOptions) (*WorkloadResult, error) {
 	if !KnownWorkload(opts.Name) {
 		return nil, fmt.Errorf("core: unknown workload %q (have %v)", opts.Name, WorkloadNames())
 	}
@@ -178,6 +180,9 @@ func (p *Pipeline) RunWorkload(opts WorkloadOptions) (*WorkloadResult, error) {
 		reg.Gauge("workload_rov_deployed_ases").Set(float64(deployed))
 	}
 	net.RunToQuiescence()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	bgpEvents0 := net.EventsProcessed()
 	updates0 := reg.Counter("bgp_updates_delivered_total").Value()
@@ -187,6 +192,7 @@ func (p *Pipeline) RunWorkload(opts WorkloadOptions) (*WorkloadResult, error) {
 	start := vtime.Time(net.Now())
 	eng := vtime.NewEngine(start)
 	eng.SetMetrics(reg)
+	eng.Done = ctx.Done()
 	eng.Coupling = func(from, to vtime.Time) { net.Run(bgp.Time(to)) }
 	var sched vtime.Scheduler = eng
 	if opts.RoundMode {
@@ -256,6 +262,9 @@ func (p *Pipeline) RunWorkload(opts WorkloadOptions) (*WorkloadResult, error) {
 	}
 
 	sched.RunUntil(start + d)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	res.Scheduled = reg.Counter("vtime_events_scheduled_total").Value()
 	res.Dispatched = eng.Dispatched()
@@ -444,9 +453,9 @@ func ribDigestFiltered(eco *topo.Ecosystem, include func(bgp.RouterID) bool) uin
 	return h.Sum64()
 }
 
-// WriteWorkloadReport renders the deterministic portion of a result
-// as the stable text block the CLI prints and the smoke target diffs.
-func WriteWorkloadReport(w io.Writer, res *WorkloadResult) {
+// WriteText renders the deterministic portion of a result as the
+// stable text block the CLI prints and the smoke target diffs.
+func (res *WorkloadResult) WriteText(w io.Writer) error {
 	mode := "event"
 	if res.RoundMode {
 		mode = "round"
@@ -469,5 +478,6 @@ func WriteWorkloadReport(w io.Writer, res *WorkloadResult) {
 	if res.Name == "replay" {
 		fmt.Fprintf(w, "  replay: %d skipped, %d clamped\n", res.ReplaySkipped, res.ReplayClamped)
 	}
-	fmt.Fprintf(w, "  rib digest: %016x\n", res.RIBDigest)
+	_, err := fmt.Fprintf(w, "  rib digest: %016x\n", res.RIBDigest)
+	return err
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/internal/asn"
@@ -15,12 +16,12 @@ import (
 func runNamedWorkload(t *testing.T, name string, d vtime.Time, workers int, round bool) (*WorkloadResult, string) {
 	t.Helper()
 	p := NewPipeline(WithSmall(), WithSeed(1), WithWorkers(workers))
-	res, err := p.RunWorkload(WorkloadOptions{Name: name, Duration: d, RoundMode: round})
+	res, err := p.RunWorkload(context.Background(), WorkloadOptions{Name: name, Duration: d, RoundMode: round})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
 	var buf bytes.Buffer
-	WriteWorkloadReport(&buf, res)
+	res.WriteText(&buf)
 	return res, buf.String()
 }
 
@@ -209,7 +210,7 @@ func TestReplayWorkload(t *testing.T) {
 		t.Fatalf("flush: %v", err)
 	}
 
-	res, err := NewPipeline(WithSmall(), WithSeed(1)).RunWorkload(WorkloadOptions{
+	res, err := NewPipeline(WithSmall(), WithSeed(1)).RunWorkload(context.Background(), WorkloadOptions{
 		Name: "replay", Duration: 600, Trace: bytes.NewReader(buf.Bytes()),
 	})
 	if err != nil {
@@ -229,10 +230,10 @@ func TestReplayWorkload(t *testing.T) {
 // TestWorkloadValidation covers the error paths.
 func TestWorkloadValidation(t *testing.T) {
 	p := NewPipeline(WithSmall(), WithSeed(1))
-	if _, err := p.RunWorkload(WorkloadOptions{Name: "no-such"}); err == nil {
+	if _, err := p.RunWorkload(context.Background(), WorkloadOptions{Name: "no-such"}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
-	if _, err := p.RunWorkload(WorkloadOptions{Name: "replay"}); err == nil {
+	if _, err := p.RunWorkload(context.Background(), WorkloadOptions{Name: "replay"}); err == nil {
 		t.Fatal("replay without trace accepted")
 	}
 	if !KnownWorkload("update-storm") || KnownWorkload("bogus") {

@@ -1,48 +1,14 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 
-	"repro/internal/bgp"
 	"repro/internal/cliconf"
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/optimize"
 	"repro/internal/telemetry"
 )
-
-// jobKind is what a job runs: the two-experiment survey, the
-// fault-intensity sweep, a virtual-clock workload, an adversarial
-// scenario sweep, or a policy-optimization search.
-type jobKind uint8
-
-const (
-	kindSurvey jobKind = iota
-	kindSweep
-	kindWorkload
-	kindScenario
-	kindOptimize
-
-	numJobKinds
-)
-
-func (k jobKind) String() string {
-	switch k {
-	case kindSweep:
-		return "sweep"
-	case kindWorkload:
-		return "workload"
-	case kindScenario:
-		return "scenario"
-	case kindOptimize:
-		return "optimize"
-	}
-	return "survey"
-}
 
 // JobSpec is a submission body: who is asking, what to run, and the
 // run configuration. Options reuses cliconf.JobOptions so the server
@@ -59,62 +25,24 @@ type JobSpec struct {
 	// TimeoutSeconds, when positive, deadlines the job; on expiry it
 	// stops at the next round boundary and is marked failed.
 	TimeoutSeconds float64 `json:"timeout_seconds,omitempty"`
-
-	kind jobKind
 }
 
-// Validate normalizes and rejects a submission; the Options check is
-// the identical cliconf.JobOptions.Validate the CLI runs.
+// Validate normalizes and rejects a submission: the kind's checks and
+// the identical JobOptions.Validate the CLI runs on its flags.
 func (sp *JobSpec) Validate() error {
 	if sp.Tenant == "" {
 		sp.Tenant = "default"
 	}
-	switch sp.Kind {
-	case "", "survey":
-		sp.Kind, sp.kind = "survey", kindSurvey
-	case "sweep":
-		sp.kind = kindSweep
-		if sp.Options.Faults == 0 {
-			return fmt.Errorf("sweep job needs options.faults in (0, 1]")
-		}
-	case "workload":
-		sp.kind = kindWorkload
-		if sp.Options.Workload == "" {
-			return fmt.Errorf("workload job needs options.workload (one of %v)", core.WorkloadNames())
-		}
-		if sp.Options.Workload == "replay" {
-			return fmt.Errorf("workload job cannot replay a trace (no upload channel); use the CLI")
-		}
-	case "scenario":
-		sp.kind = kindScenario
-		if sp.Options.Scenario == "" {
-			return fmt.Errorf("scenario job needs options.scenario (one of %v)", faults.ScenarioNames())
-		}
-	case "optimize":
-		sp.kind = kindOptimize
-		if sp.Options.Objective == "" {
-			return fmt.Errorf("optimize job needs options.objective (catchment:re=<frac> or probe:re=,commodity=,loss=)")
-		}
-	default:
-		return fmt.Errorf("unknown job kind %q: want \"survey\", \"sweep\", \"workload\", \"scenario\", or \"optimize\"", sp.Kind)
+	if sp.Kind == "" {
+		sp.Kind = "survey"
 	}
 	if sp.TimeoutSeconds < 0 {
 		return fmt.Errorf("timeout_seconds %v out of range: want >= 0", sp.TimeoutSeconds)
 	}
-	return sp.Options.Validate()
+	return sp.job().Check()
 }
 
-// fingerprint is the checkpoint compatibility key for the job's
-// configuration (worker count excluded — see core.CheckpointFingerprint).
-func (sp *JobSpec) fingerprint() core.CheckpointFingerprint {
-	return core.CheckpointFingerprint{
-		Seed:        sp.Options.Seed,
-		Small:       sp.Options.Small,
-		Incremental: sp.Options.Incremental,
-		Faults:      sp.Options.Faults,
-		NSeeds:      1,
-	}
-}
+func (sp *JobSpec) job() *core.Job { return &core.Job{Kind: sp.Kind, Options: sp.Options} }
 
 // Job is one submitted job. All mutable fields are guarded by the
 // owning Server's mu; the runner goroutine mutates only through
@@ -167,363 +95,46 @@ func (j *Job) record() *jobRecord {
 	return &jobRecord{Seq: j.Seq, Spec: j.Spec, State: j.state, Error: j.errMsg, Output: j.output}
 }
 
-// --- job output ---
-
-// resultSummary is the deterministic JSON digest of one experiment.
-type resultSummary struct {
-	Name     string         `json:"name"`
-	Rounds   int            `json:"rounds"`
-	Prefixes int            `json:"prefixes"`
-	Classes  map[string]int `json:"classes"`
-}
-
-func summarize(res *core.Result) *resultSummary {
-	if res == nil {
-		return nil
-	}
-	s := &resultSummary{
-		Name:     res.Name,
-		Rounds:   len(res.Rounds),
-		Prefixes: len(res.PerPrefix),
-		Classes:  map[string]int{},
-	}
-	for _, pr := range res.PerPrefix {
-		s.Classes[pr.Inference.String()]++
-	}
-	return s
-}
-
-// sweepSummary is the deterministic JSON digest of one sweep point.
-type sweepSummary struct {
-	Intensity      float64 `json:"intensity"`
-	SessionFaults  int     `json:"session_faults"`
-	Accuracy       float64 `json:"accuracy"`
-	MeanConfidence float64 `json:"mean_confidence"`
-	OutageClasses  int     `json:"outage_classes"`
-}
-
-// scenarioSummary is the deterministic JSON digest of one scenario
-// sweep point.
-type scenarioSummary struct {
-	Adoption         float64 `json:"adoption"`
-	Baseline         bool    `json:"baseline,omitempty"`
-	Deployed         int     `json:"deployed"`
-	PollutedASes     int     `json:"polluted_ases"`
-	CleanASes        int     `json:"clean_ases"`
-	UnreachableASes  int     `json:"unreachable_ases"`
-	LeakAffectedASes int     `json:"leak_affected_ases"`
-	LeakedRoutes     int     `json:"leaked_routes"`
-	Accuracy         float64 `json:"accuracy"`
-	MidSignature     string  `json:"mid_signature"`
-	EndDigest        string  `json:"end_digest"`
-}
-
-// optimizePoint is one generation of the search trajectory.
-type optimizePoint struct {
-	Generation int     `json:"generation"`
-	Evaluated  int     `json:"evaluated"`
-	BestScore  float64 `json:"best_score"`
-	BestConfig string  `json:"best_config"`
-}
-
-// optimizeSummary is the deterministic JSON digest of one
-// policy-optimization search run.
-type optimizeSummary struct {
-	Objective        string          `json:"objective"`
-	Strategy         string          `json:"strategy"`
-	Budget           int             `json:"budget"`
-	Evaluated        int             `json:"evaluated"`
-	Generations      int             `json:"generations"`
-	Restarts         int             `json:"restarts"`
-	BaselineScore    float64         `json:"baseline_score"`
-	BestScore        float64         `json:"best_score"`
-	BestConfig       string          `json:"best_config"`
-	WarmRestores     int64           `json:"warm_restores"`
-	ColdBuilds       int64           `json:"cold_builds"`
-	EvalDecisionRuns int64           `json:"eval_decision_runs"`
-	Trajectory       []optimizePoint `json:"trajectory,omitempty"`
-}
-
-// jobOutput is the document GET /jobs/{id}/output serves: experiment
-// digests (or sweep points) plus the run's full telemetry manifest.
-// Every field serializes deterministically (JSON object keys and map
-// keys are sorted), so a resumed job reproduces a cold run's output
-// byte for byte.
-type jobOutput struct {
-	SURF      *resultSummary    `json:"surf,omitempty"`
-	Internet2 *resultSummary    `json:"internet2,omitempty"`
-	Sweep     []sweepSummary    `json:"sweep,omitempty"`
-	Workload  *workloadSummary  `json:"workload,omitempty"`
-	Scenario  []scenarioSummary `json:"scenario,omitempty"`
-	Optimize  *optimizeSummary  `json:"optimize,omitempty"`
-	Manifest  json.RawMessage   `json:"manifest"`
-}
-
-// workloadSummary is the deterministic JSON digest of one workload
-// run. The wall-derived speedup ratio is deliberately absent.
-type workloadSummary struct {
-	Name             string           `json:"name"`
-	DurationSeconds  int64            `json:"duration_seconds"`
-	RoundMode        bool             `json:"round_mode"`
-	Events           map[string]int64 `json:"events"`
-	Dispatched       int64            `json:"dispatched"`
-	BGPEvents        int              `json:"bgp_events"`
-	UpdatesDelivered int64            `json:"updates_delivered"`
-	RFDPenalties     int64            `json:"rfd_penalties"`
-	RFDSuppressions  int64            `json:"rfd_suppressions"`
-	ProbeRounds      int              `json:"probe_rounds"`
-	ProbesSent       int              `json:"probes_sent"`
-	ProbesResponded  int              `json:"probes_responded"`
-	RIBDigest        string           `json:"rib_digest"`
-}
-
-// --- the runner ---
-
-// runSurvey executes a survey job: resume from the newest checkpoint
-// in the job's directory when one exists, checkpoint after every
-// round, stream progress, and render the deterministic output
-// document. It mirrors cmd/resurvey's resume flow so the two front
-// ends have identical crash semantics.
-func (s *Server) runSurvey(ctx context.Context, j *Job) ([]byte, error) {
-	jobDir := filepath.Join(s.cfg.DataDir, j.ID)
+// dispatch is the production runJob: the job's kind from the core
+// registry, with its checkpoints in the job's directory (always
+// resumed from, so a recovered job continues where it stopped), its
+// progress streamed as events, and its output rendered as the
+// service's JSON document.
+func (s *Server) dispatch(ctx context.Context, j *Job) ([]byte, error) {
 	reg := telemetry.New()
-
-	ck := loadLatestCheckpoint(jobDir, j.Spec.fingerprint())
-	var openSpans []*telemetry.Span
-	if ck != nil {
-		spans, err := reg.LoadState(bytes.NewReader(ck.Telemetry))
-		if err != nil {
-			ck = nil // unusable telemetry: cold-start rather than diverge
-		} else {
-			openSpans = spans
-		}
-	}
-
-	pl := j.Spec.Options.Pipeline(reg)
-	// On resume the checkpointed registry already holds the completed
-	// build phase; re-recording it would duplicate the span.
-	var buildSpan *telemetry.Span
-	if ck == nil {
-		buildSpan = reg.StartSpan("build")
-	}
-	sv := pl.NewSurvey()
-	buildSpan.End()
-
-	if ck != nil {
-		if err := bgp.RestoreNetwork(bytes.NewReader(ck.Engine), sv.Eco.Net); err != nil {
-			return nil, fmt.Errorf("resume: restore engine state: %w", err)
-		}
-		sv.Resume = ck.Resume(openSpans)
-		s.reg.Counter("serve_jobs_resumed_total").Inc()
-	}
-
 	crashLeft := s.crashAfterCheckpoints
-	sv.Checkpoint = func(sck core.SurveyCheckpoint) {
-		c, err := core.BuildCheckpoint(j.Spec.fingerprint(), sck, sv.Eco.Net, reg)
-		if err == nil {
-			err = writeJobCheckpoint(jobDir, c)
-		}
-		if err != nil {
-			s.reg.Counter("serve_checkpoint_errors_total").Inc()
-			return
-		}
-		s.checkpointed(j)
-		if s.crashAfterCheckpoints > 0 {
-			crashLeft--
-			if crashLeft == 0 {
-				panic(errCrash)
+	ckd := &core.CheckpointDir{
+		Path:   filepath.Join(s.cfg.DataDir, j.ID),
+		Resume: true,
+		Saved: func(err error) {
+			if err != nil {
+				s.reg.Counter("serve_checkpoint_errors_total").Inc()
+				return
 			}
-		}
-	}
-	sv.Progress = func(phase int, ev core.RoundProgress) {
-		s.publish(j, event{Type: "round", Phase: phase, Round: &ev})
-	}
-
-	if err := sv.RunBothContext(ctx); err != nil {
-		return nil, err
-	}
-	return renderOutput(j, reg, &jobOutput{
-		SURF:      summarize(sv.SURF),
-		Internet2: summarize(sv.Internet2),
-	})
-}
-
-// runSweep executes a fault-sweep job. Sweep points have no per-round
-// checkpoint hook, so an interrupted sweep re-runs from the start on
-// recovery — the output is deterministic either way.
-func (s *Server) runSweep(ctx context.Context, j *Job) ([]byte, error) {
-	reg := telemetry.New()
-	pl := j.Spec.Options.Pipeline(reg)
-	pts, err := pl.RunFaultSweepContext(ctx)
-	if err != nil {
-		return nil, err
-	}
-	out := &jobOutput{}
-	for _, pt := range pts {
-		out.Sweep = append(out.Sweep, sweepSummary{
-			Intensity:      pt.Intensity,
-			SessionFaults:  pt.SessionFaults,
-			Accuracy:       pt.Accuracy,
-			MeanConfidence: pt.MeanConfidence,
-			OutageClasses:  pt.OutageClasses,
-		})
-	}
-	return renderOutput(j, reg, out)
-}
-
-// runWorkload executes a workload job: a named virtual-clock schedule
-// through the event engine. Workload runs have no checkpoint hook — a
-// recovered job re-runs from cold and, being deterministic, reproduces
-// the same output document.
-func (s *Server) runWorkload(ctx context.Context, j *Job) ([]byte, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	reg := telemetry.New()
-	pl := j.Spec.Options.Pipeline(reg)
-	res, err := pl.RunWorkload(j.Spec.Options.WorkloadOptions())
-	if err != nil {
-		return nil, err
-	}
-	return renderOutput(j, reg, &jobOutput{
-		Workload: &workloadSummary{
-			Name:             res.Name,
-			DurationSeconds:  int64(res.Duration),
-			RoundMode:        res.RoundMode,
-			Events:           res.EventsByKind,
-			Dispatched:       res.Dispatched,
-			BGPEvents:        res.BGPEvents,
-			UpdatesDelivered: res.UpdatesDelivered,
-			RFDPenalties:     res.RFDPenalties,
-			RFDSuppressions:  res.RFDSuppressions,
-			ProbeRounds:      res.ProbeRounds,
-			ProbesSent:       res.ProbesSent,
-			ProbesResponded:  res.ProbesResponded,
-			RIBDigest:        fmt.Sprintf("%016x", res.RIBDigest),
+			s.checkpointed(j)
+			if s.crashAfterCheckpoints > 0 {
+				crashLeft--
+				if crashLeft == 0 {
+					panic(errCrash)
+				}
+			}
 		},
-	})
-}
-
-// runScenario executes a scenario-sweep job: an adversarial schedule
-// (hijack or leak) injected at every ROV adoption point. Like sweeps,
-// scenario jobs have no checkpoint hook; a recovered job re-runs from
-// cold and reproduces the same deterministic output document.
-func (s *Server) runScenario(ctx context.Context, j *Job) ([]byte, error) {
-	reg := telemetry.New()
-	pl := j.Spec.Options.Pipeline(reg)
-	pts, err := pl.RunScenarioSweepContext(ctx)
+		Resumed: func() { s.reg.Counter("serve_jobs_resumed_total").Inc() },
+		Corrupt: func(n int) { s.reg.Counter("serve_checkpoints_corrupt_total").Add(int64(n)) },
+	}
+	job := j.Spec.job()
+	job.Progress = func(p core.JobProgress) {
+		if p.Optimize != nil {
+			s.publish(j, event{Type: "generation", Optimize: p.Optimize})
+		} else {
+			s.publish(j, event{Type: "round", Phase: p.Phase, Round: p.Round})
+		}
+	}
+	rep, err := job.Run(ctx, reg, ckd)
 	if err != nil {
 		return nil, err
 	}
-	out := &jobOutput{}
-	for _, pt := range pts {
-		out.Scenario = append(out.Scenario, scenarioSummary{
-			Adoption:         pt.Adoption,
-			Baseline:         pt.Baseline,
-			Deployed:         pt.Deployed,
-			PollutedASes:     pt.PollutedASes,
-			CleanASes:        pt.CleanASes,
-			UnreachableASes:  pt.UnreachableASes,
-			LeakAffectedASes: pt.LeakAffectedASes,
-			LeakedRoutes:     pt.LeakedRoutes,
-			Accuracy:         pt.Accuracy,
-			MidSignature:     fmt.Sprintf("%016x", pt.MidSignature),
-			EndDigest:        fmt.Sprintf("%016x", pt.EndDigest),
-		})
-	}
-	return renderOutput(j, reg, out)
-}
-
-// runOptimize executes a policy-optimization search job: stream
-// per-generation progress over SSE, checkpoint the encoded search
-// state after every generation, and — on recovery — resume from the
-// newest checkpoint whose fingerprint matches the job's configuration,
-// so a restarted search reproduces an uninterrupted one bit for bit.
-func (s *Server) runOptimize(ctx context.Context, j *Job) ([]byte, error) {
-	jobDir := filepath.Join(s.cfg.DataDir, j.ID)
-	reg := telemetry.New()
-	pl := j.Spec.Options.Pipeline(reg)
-	opts := pl.OptimizeOptions()
-
-	// The resume fingerprint is exactly what core.RunOptimizeContext
-	// will demand of the blob; deriving it here lets recovery skip
-	// stale or corrupt checkpoint files instead of failing the job.
-	if obj, err := optimize.ParseSpec(opts.Objective); err == nil {
-		if sr, err := optimize.NewSearcher(opts.Strategy); err == nil {
-			fp := optimize.FingerprintFor(obj, sr, optimize.Options{
-				Seed: opts.SearchSeed, Budget: opts.Budget, Lambda: opts.Lambda,
-			})
-			if blob := loadLatestSearchState(jobDir, fp); blob != nil {
-				opts.Resume = blob
-				s.reg.Counter("serve_jobs_resumed_total").Inc()
-			}
-		}
-	}
-
-	opts.Progress = func(p core.OptimizeProgress) {
-		s.publish(j, event{Type: "generation", Optimize: &p})
-	}
-	crashLeft := s.crashAfterCheckpoints
-	opts.Checkpoint = func(state []byte, p core.OptimizeProgress) {
-		if err := writeJobSearchState(jobDir, p.Generation, state); err != nil {
-			s.reg.Counter("serve_checkpoint_errors_total").Inc()
-			return
-		}
-		s.checkpointed(j)
-		if s.crashAfterCheckpoints > 0 {
-			crashLeft--
-			if crashLeft == 0 {
-				panic(errCrash)
-			}
-		}
-	}
-
-	res, err := core.RunOptimizeContext(ctx, opts)
-	if err != nil {
-		return nil, err
-	}
-	sum := &optimizeSummary{
-		Objective:        res.Objective,
-		Strategy:         res.Strategy,
-		Budget:           res.Budget,
-		Evaluated:        res.Evaluated,
-		Generations:      res.Generations,
-		Restarts:         res.Restarts,
-		BaselineScore:    res.BaselineScore,
-		BestScore:        res.Best.Score,
-		BestConfig:       res.Best.Candidate.Label(),
-		WarmRestores:     res.WarmRestores,
-		ColdBuilds:       res.ColdBuilds,
-		EvalDecisionRuns: res.EvalDecisionRuns,
-	}
-	for _, p := range res.Trajectory {
-		sum.Trajectory = append(sum.Trajectory, optimizePoint{
-			Generation: p.Generation,
-			Evaluated:  p.Evaluated,
-			BestScore:  p.BestScore,
-			BestConfig: p.BestLabel,
-		})
-	}
-	return renderOutput(j, reg, &jobOutput{Optimize: sum})
-}
-
-// renderOutput attaches the job's telemetry manifest (wall times
-// zeroed for determinism) and serializes the output document.
-func renderOutput(j *Job, reg *telemetry.Registry, out *jobOutput) ([]byte, error) {
-	m, err := reg.Snapshot(telemetry.SnapshotOptions{
-		Seed:          j.Spec.Options.Seed,
-		Options:       j.Spec.Options,
-		ZeroDurations: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	if err := m.WriteJSON(&buf); err != nil {
-		return nil, err
-	}
-	out.Manifest = json.RawMessage(bytes.TrimSpace(buf.Bytes()))
-	return json.Marshal(out)
+	return core.Document(rep, reg, j.Spec.Options)
 }
 
 // --- progress events ---

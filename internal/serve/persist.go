@@ -4,20 +4,21 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/optimize"
 	snap "repro/internal/snapshot"
 )
 
 // Durable job state. Each job owns one directory under the server's
 // data dir, dataDir/job-<seq>/, holding job.rjob (the RJOB manifest:
 // spec, lifecycle state, and — once done — the output document) next
-// to the job's RCKP checkpoint files. Every manifest write is atomic
-// (temp + rename), so a crash at any instant leaves either the old or
-// the new manifest, never a torn one; a restarted server rebuilds its
-// entire job table from these directories alone.
+// to the job's RCKP or ROPT checkpoint files. The directory is a
+// core.CheckpointDir: every write is atomic (temp + rename), so a
+// crash at any instant leaves either the old or the new manifest,
+// never a torn one; a restarted server rebuilds its entire job table
+// from these directories alone.
 
 // RJOB section ids, in file order.
 const (
@@ -48,7 +49,7 @@ func encodeJob(r *jobRecord) []byte {
 	// reads v1 manifests with the historical layout.
 	var sp snap.Enc
 	sp.String(r.Spec.Tenant)
-	sp.U8(uint8(r.Spec.kind))
+	sp.U8(uint8(slices.Index(core.JobKinds(), r.Spec.Kind)))
 	sp.Bool(r.Spec.Options.Small)
 	sp.String(r.Spec.Options.Scale)
 	sp.I64(r.Spec.Options.Seed)
@@ -93,7 +94,7 @@ func decodeJob(data []byte) (*jobRecord, error) {
 
 	d := snap.NewDec(secs[0].Payload)
 	r.Spec.Tenant = d.String()
-	r.Spec.kind = jobKind(d.U8())
+	kind := int(d.U8())
 	r.Spec.Options.Small = d.Bool()
 	if version >= 2 {
 		r.Spec.Options.Scale = d.String()
@@ -116,16 +117,17 @@ func decodeJob(data []byte) (*jobRecord, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
+	// Kind bytes index the core job registry. v1 manifests only ever
+	// recorded survey (0) and sweep (1) jobs; any other kind byte is
+	// corruption, not a lost feature.
+	kinds := core.JobKinds()
 	if version < 2 {
-		// v1 manifests only ever recorded survey and sweep jobs; any
-		// other kind byte is corruption, not a lost feature.
-		if r.Spec.kind != kindSurvey && r.Spec.kind != kindSweep {
-			return nil, fmt.Errorf("%w: job kind %d", snap.ErrCorrupt, r.Spec.kind)
-		}
-	} else if r.Spec.kind >= numJobKinds {
-		return nil, fmt.Errorf("%w: job kind %d", snap.ErrCorrupt, r.Spec.kind)
+		kinds = kinds[:2]
 	}
-	r.Spec.Kind = r.Spec.kind.String()
+	if kind >= len(kinds) {
+		return nil, fmt.Errorf("%w: job kind %d", snap.ErrCorrupt, kind)
+	}
+	r.Spec.Kind = kinds[kind]
 
 	d = snap.NewDec(secs[1].Payload)
 	r.Seq = d.Uvarint()
@@ -143,18 +145,10 @@ func decodeJob(data []byte) (*jobRecord, error) {
 }
 
 // writeJobRecord persists one manifest atomically into the job's
-// directory (created on first write).
+// directory (created on first write), next to its checkpoints.
 func writeJobRecord(dataDir string, r *jobRecord) error {
-	dir := filepath.Join(dataDir, r.id())
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(dir, "job.rjob")
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, encodeJob(r), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	ckd := core.CheckpointDir{Path: filepath.Join(dataDir, r.id())}
+	return ckd.WriteFile("job.rjob", encodeJob(r))
 }
 
 // loadJobRecords scans the data dir and returns every decodable job
@@ -184,104 +178,4 @@ func loadJobRecords(dataDir string) ([]*jobRecord, int) {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	return recs, corrupt
-}
-
-// --- per-job survey checkpoints ---
-
-// The checkpoint files inside a job directory use the same RCKP codec
-// and naming as cmd/resurvey's -snapshot-dir, so a job's progress is
-// inspectable (and even resumable) with the CLI's conventions.
-
-func checkpointName(phase, done int) string {
-	return fmt.Sprintf("ckpt-%d-%02d.rckp", phase, done)
-}
-
-func writeJobCheckpoint(jobDir string, c *core.Checkpoint) error {
-	path := filepath.Join(jobDir, checkpointName(c.Phase, c.Done))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, c.Encode(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// --- per-job optimizer search-state checkpoints ---
-
-// Optimize jobs checkpoint the encoded search state (the ROPT codec,
-// optimize.EncodeState) after every generation, named by generation so
-// the files sort chronologically like the RCKP ones.
-
-func searchStateName(generation int) string {
-	return fmt.Sprintf("search-%04d.ropt", generation)
-}
-
-func writeJobSearchState(jobDir string, generation int, state []byte) error {
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(jobDir, searchStateName(generation))
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, state, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// loadLatestSearchState returns the newest search-state blob in jobDir
-// whose fingerprint matches, skipping corrupt or mismatched files for
-// older ones, and nil when nothing usable exists (the search restarts
-// from generation zero).
-func loadLatestSearchState(jobDir string, want optimize.Fingerprint) []byte {
-	entries, err := os.ReadDir(jobDir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, ent := range entries {
-		if !ent.IsDir() && filepath.Ext(ent.Name()) == ".ropt" {
-			names = append(names, ent.Name())
-		}
-	}
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(jobDir, name))
-		if err != nil {
-			continue
-		}
-		if fp, _, err := optimize.DecodeState(data); err != nil || fp != want {
-			continue
-		}
-		return data
-	}
-	return nil
-}
-
-// loadLatestCheckpoint returns the newest valid checkpoint in jobDir
-// matching the fingerprint, skipping corrupt files for older ones, and
-// nil when nothing usable exists (the job cold-starts).
-func loadLatestCheckpoint(jobDir string, want core.CheckpointFingerprint) *core.Checkpoint {
-	entries, err := os.ReadDir(jobDir)
-	if err != nil {
-		return nil
-	}
-	var names []string
-	for _, ent := range entries {
-		if !ent.IsDir() && filepath.Ext(ent.Name()) == ".rckp" {
-			names = append(names, ent.Name())
-		}
-	}
-	// ckpt-<phase>-<done> names sort chronologically; walk newest first.
-	sort.Sort(sort.Reverse(sort.StringSlice(names)))
-	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(jobDir, name))
-		var c *core.Checkpoint
-		if err == nil {
-			c, err = core.DecodeCheckpoint(data)
-		}
-		if err != nil || c.Fingerprint != want {
-			continue
-		}
-		return c
-	}
-	return nil
 }

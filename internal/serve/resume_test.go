@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"repro/internal/cliconf"
+	"repro/internal/core"
+	"repro/internal/optimize"
 )
 
 // runToDone submits spec on a fresh server over dir and returns the
@@ -116,9 +118,9 @@ func TestOptimizeKillAndRestart(t *testing.T) {
 		Small: true, Seed: 1, Workers: 2, Incremental: true,
 		Objective: "catchment:re=0.3", Budget: 8, Strategy: "evolve",
 	}}
-	summaryOf := func(out []byte) *optimizeSummary {
+	summaryOf := func(out []byte) *core.OptimizeSummary {
 		t.Helper()
-		var doc jobOutput
+		var doc core.JobDocument
 		if err := json.Unmarshal(out, &doc); err != nil || doc.Optimize == nil {
 			t.Fatalf("bad output document (%v): %s", err, out)
 		}
@@ -217,5 +219,136 @@ func TestResumeSkipsCorruptCheckpoint(t *testing.T) {
 	s2.mu.Unlock()
 	if !bytes.Equal(cold, resumed) {
 		t.Fatal("resume after corrupt-checkpoint fallback diverged from the cold run")
+	}
+	if got := s2.counter("serve_checkpoints_corrupt_total"); got != 1 {
+		t.Errorf("serve_checkpoints_corrupt_total = %d, want 1", got)
+	}
+}
+
+// TestResumeDiscardsUnloadableTelemetry: a job dir holds one CRC-valid
+// checkpoint whose telemetry state fails part-way through loading (a
+// counter, then a histogram with the wrong bucket count). The file
+// counts as corrupt and the job cold-starts on a clean registry, so its
+// output equals a cold run's — no stale counter leaks into the
+// manifest.
+func TestResumeDiscardsUnloadableTelemetry(t *testing.T) {
+	spec := JobSpec{Options: cliconf.JobOptions{Small: true, Seed: 3, Incremental: true}}
+	if err := spec.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cold := runToDone(t, t.TempDir(), spec)
+
+	dir := t.TempDir()
+	rec := &jobRecord{Spec: spec, State: StateCheckpointed}
+	if err := writeJobRecord(dir, rec); err != nil {
+		t.Fatal(err)
+	}
+	ck := &core.Checkpoint{
+		Fingerprint: spec.job().SurveyFingerprint(),
+		Done:        1,
+		Engine:      []byte("never restored"),
+		Telemetry: []byte(`{"metrics":{"counters":[{"name":"stale_total","value":7}],` +
+			`"histograms":[{"name":"h","count":1,"sum":1,"buckets":[{"le":"+Inf","count":1}]}]}}`),
+	}
+	ckd := core.CheckpointDir{Path: filepath.Join(dir, rec.id())}
+	if err := ckd.WriteFile("ckpt-0-01.rckp", ck.Encode()); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newTestServer(t, Config{DataDir: dir})
+	s.Start()
+	j := s.job(rec.id())
+	<-j.done
+	if st := s.jobState(j.ID); st != StateDone {
+		t.Fatalf("job finished %s, want done", st)
+	}
+	s.mu.Lock()
+	out := j.output
+	s.mu.Unlock()
+	if !bytes.Equal(cold, out) {
+		t.Fatal("job resumed over an unloadable checkpoint diverged from a cold run")
+	}
+	if got := s.counter("serve_checkpoints_corrupt_total"); got != 1 {
+		t.Errorf("serve_checkpoints_corrupt_total = %d, want 1", got)
+	}
+	if got := s.counter("serve_jobs_resumed_total"); got != 0 {
+		t.Errorf("serve_jobs_resumed_total = %d, want 0 (cold start)", got)
+	}
+}
+
+// TestLoadersSkipTornFiles covers every durable format's loader: a
+// zero-length or truncated newest file is counted corrupt and skipped,
+// falling back to the next valid file or, with none left, to a cold
+// start.
+func TestLoadersSkipTornFiles(t *testing.T) {
+	ckFP := core.CheckpointFingerprint{Seed: 1, NSeeds: 1}
+	optFP := optimize.Fingerprint{Seed: 1, Strategy: "hillclimb", Objective: "catchment:re=0.4", Budget: 8, Lambda: 4}
+	formats := []struct {
+		name string
+		// file names the i-th file; higher i is newer.
+		file func(i int) string
+		data []byte
+		// load reports whether a valid file was found, and how many
+		// corrupt ones were skipped.
+		load func(dir string) (bool, int)
+	}{
+		{
+			name: "RCKP",
+			file: func(i int) string { return fmt.Sprintf("ckpt-0-%02d.rckp", i) },
+			data: (&core.Checkpoint{Fingerprint: ckFP, Engine: []byte("e")}).Encode(),
+			load: func(dir string) (bool, int) {
+				corrupt := 0
+				d := &core.CheckpointDir{Path: dir, Resume: true, Corrupt: func(n int) { corrupt += n }}
+				return d.LatestSurvey(ckFP, nil) != nil, corrupt
+			},
+		},
+		{
+			name: "ROPT",
+			file: func(i int) string { return fmt.Sprintf("search-%04d.ropt", i) },
+			data: optimize.EncodeState(optFP, &optimize.State{Generation: 1, Evaluated: 4}),
+			load: func(dir string) (bool, int) {
+				corrupt := 0
+				d := &core.CheckpointDir{Path: dir, Resume: true, Corrupt: func(n int) { corrupt += n }}
+				return d.LatestSearch(optFP) != nil, corrupt
+			},
+		},
+		{
+			name: "RJOB",
+			file: func(i int) string { return filepath.Join(jobID(uint64(i)), "job.rjob") },
+			data: encodeJob(&jobRecord{Spec: JobSpec{Tenant: "t", Kind: "survey"}, State: StateQueued}),
+			load: func(dir string) (bool, int) {
+				recs, corrupt := loadJobRecords(dir)
+				return len(recs) == 1, corrupt
+			},
+		},
+	}
+	for _, f := range formats {
+		for _, torn := range []struct {
+			name string
+			data []byte
+		}{{"zero-length", nil}, {"truncated", f.data[:len(f.data)/2]}} {
+			for _, older := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/%s/older=%v", f.name, torn.name, older), func(t *testing.T) {
+					dir := t.TempDir()
+					write := func(name string, data []byte) {
+						path := filepath.Join(dir, name)
+						if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+							t.Fatal(err)
+						}
+						if err := os.WriteFile(path, data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if older {
+						write(f.file(1), f.data)
+					}
+					write(f.file(2), torn.data)
+					found, corrupt := f.load(dir)
+					if found != older || corrupt != 1 {
+						t.Fatalf("found=%v corrupt=%d, want found=%v corrupt=1", found, corrupt, older)
+					}
+				})
+			}
+		}
 	}
 }

@@ -1,17 +1,19 @@
 // Package serve is the resident survey service behind cmd/resurveyd:
-// a long-running HTTP front end that accepts survey and fault-sweep
-// job submissions, runs them concurrently through core.Pipeline, and
-// streams round-by-round progress. Its design centre is robustness
-// under hostile conditions rather than features:
+// a long-running HTTP front end that accepts job submissions of every
+// kind in the core job registry (survey, fault sweep, workload,
+// scenario sweep, optimize), runs them concurrently through the same
+// core.Job entry point the CLIs use, and streams round-by-round
+// progress. Its design centre is robustness under hostile conditions
+// rather than features:
 //
 //   - Admission control (admission.go): per-tenant token buckets and a
 //     global active-job / heap-watermark gate shed excess load with
 //     429 + Retry-After instead of queueing unboundedly or OOMing.
 //   - Crash safety (fsm.go, persist.go): every lifecycle transition is
 //     persisted atomically before it is visible, survey jobs checkpoint
-//     after every configuration round, and a restarted server resumes
-//     every interrupted job with output byte-equal to an uninterrupted
-//     run.
+//     after every configuration round and optimize jobs after every
+//     generation, and a restarted server resumes every interrupted job
+//     from its job directory (a core.CheckpointDir).
 //   - Isolation: a panicking job is recovered, marked failed, and
 //     counted — the server keeps serving. Deadlines and cancellation
 //     propagate through context.Context into the pipeline's round
@@ -73,7 +75,7 @@ type Server struct {
 	baseStop context.CancelFunc
 
 	// runJob executes one job and returns its output document; tests
-	// substitute a fake. The default dispatches on the job kind.
+	// substitute a fake. The default is dispatch: the core job registry.
 	runJob func(ctx context.Context, j *Job) ([]byte, error)
 	// crashAfterCheckpoints > 0 makes the Nth checkpoint write panic
 	// with errCrash — the kill-and-restart test knob.
@@ -105,16 +107,7 @@ func New(cfg Config) (*Server, error) {
 		s.reg.Counter("serve_job_manifests_corrupt_total").Add(int64(corrupt))
 	}
 	for _, r := range recs {
-		j := &Job{
-			ID:    r.id(),
-			Seq:   r.Seq,
-			Spec:  r.Spec,
-			state: r.State,
-			done:  make(chan struct{}),
-			subs:  make(map[chan string]struct{}),
-		}
-		j.errMsg = r.Error
-		j.output = r.Output
+		j := s.add(r)
 		if !j.state.Terminal() {
 			if j.state == StateRunning {
 				// Died before the first checkpoint: nothing durable to
@@ -126,14 +119,30 @@ func New(cfg Config) (*Server, error) {
 		} else {
 			close(j.done)
 		}
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
-		if r.Seq >= s.nextSeq {
-			s.nextSeq = r.Seq + 1
-		}
 	}
 	s.updateActiveGauge()
 	return s, nil
+}
+
+// add enters the job a durable record describes into the table; mu
+// must be held once the server is shared.
+func (s *Server) add(r *jobRecord) *Job {
+	j := &Job{
+		ID:     r.id(),
+		Seq:    r.Seq,
+		Spec:   r.Spec,
+		state:  r.State,
+		errMsg: r.Error,
+		output: r.Output,
+		done:   make(chan struct{}),
+		subs:   make(map[chan string]struct{}),
+	}
+	s.jobs[j.ID] = j
+	s.order = append(s.order, j.ID)
+	if r.Seq >= s.nextSeq {
+		s.nextSeq = r.Seq + 1
+	}
+	return j
 }
 
 // Registry exposes the server's own telemetry (the serve_* metrics
@@ -172,20 +181,12 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 		}
 		return nil, err
 	}
-	j := &Job{
-		ID:    jobID(s.nextSeq),
-		Seq:   s.nextSeq,
-		Spec:  spec,
-		state: StateQueued,
-		done:  make(chan struct{}),
-		subs:  make(map[chan string]struct{}),
-	}
+	r := &jobRecord{Seq: s.nextSeq, Spec: spec, State: StateQueued}
 	s.nextSeq++
-	if err := writeJobRecord(s.cfg.DataDir, j.record()); err != nil {
+	if err := writeJobRecord(s.cfg.DataDir, r); err != nil {
 		return nil, fmt.Errorf("persist job: %w", err)
 	}
-	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	j := s.add(r)
 	s.reg.Counter("serve_jobs_accepted_total").Inc()
 	s.updateActiveGauge()
 	s.launchLocked(j)
@@ -231,22 +232,6 @@ func (s *Server) updateActiveGauge() {
 func (s *Server) launchLocked(j *Job) {
 	s.wg.Add(1)
 	go s.execute(j)
-}
-
-// dispatch is the production runJob: survey, sweep, workload, or
-// scenario by kind.
-func (s *Server) dispatch(ctx context.Context, j *Job) ([]byte, error) {
-	switch j.Spec.kind {
-	case kindSweep:
-		return s.runSweep(ctx, j)
-	case kindWorkload:
-		return s.runWorkload(ctx, j)
-	case kindScenario:
-		return s.runScenario(ctx, j)
-	case kindOptimize:
-		return s.runOptimize(ctx, j)
-	}
-	return s.runSurvey(ctx, j)
 }
 
 // execute is one job's runner goroutine: transition to running, run

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cliconf"
+	"repro/internal/core"
 	snap "repro/internal/snapshot"
 )
 
@@ -296,7 +297,7 @@ func TestWorkloadJob(t *testing.T) {
 	}
 	out1 := run()
 
-	var doc jobOutput
+	var doc core.JobDocument
 	if err := json.Unmarshal(out1, &doc); err != nil {
 		t.Fatalf("output not JSON: %v", err)
 	}
@@ -315,6 +316,56 @@ func TestWorkloadJob(t *testing.T) {
 
 	if out2 := run(); !bytes.Equal(out1, out2) {
 		t.Fatalf("workload job output not reproducible:\n%s\nvs\n%s", out1, out2)
+	}
+}
+
+// TestWorkloadJobCancel: a DELETE reaches a workload job mid-run. The
+// job checks its context after convergence and between event
+// dispatches, so it settles cancelled promptly instead of running its
+// hour-long virtual horizon to completion (about 40 s on a 2-core
+// Xeon). A one-second workload measures the build-and-converge time
+// first: a DELETE that lands before the event loop waits out at most
+// that much, so the bound is that time plus 2 s however slow the host.
+func TestWorkloadJobCancel(t *testing.T) {
+	s := newTestServer(t, Config{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	opts := cliconf.JobOptions{Small: true, Seed: 1, Incremental: true, Workload: "update-storm", DurationSeconds: 1}
+	begin := time.Now()
+	short, err := s.Submit(JobSpec{Kind: "workload", Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-short.done
+	build := time.Since(begin)
+	if st := s.jobState(short.ID); st != StateDone {
+		t.Fatalf("one-second workload job settled %s, want done", st)
+	}
+
+	opts.DurationSeconds = 3600
+	j, err := s.Submit(JobSpec{Kind: "workload", Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s.jobState(j.ID) != StateRunning {
+		time.Sleep(time.Millisecond)
+	}
+	// Most likely into the event loop by now; the bound holds either way.
+	time.Sleep(2 * build)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+j.ID, nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	bound := build + 2*time.Second
+	select {
+	case <-j.done:
+	case <-time.After(bound):
+		t.Fatalf("workload job still %s %v after DELETE (build and convergence took %v)", s.jobState(j.ID), bound, build)
+	}
+	if st := s.jobState(j.ID); st != StateCancelled {
+		t.Fatalf("cancelled workload job settled %s, want cancelled", st)
 	}
 }
 
@@ -343,7 +394,7 @@ func TestScenarioJob(t *testing.T) {
 	}
 	out1 := run()
 
-	var doc jobOutput
+	var doc core.JobDocument
 	if err := json.Unmarshal(out1, &doc); err != nil {
 		t.Fatalf("output not JSON: %v", err)
 	}
@@ -400,7 +451,7 @@ func TestOptimizeJob(t *testing.T) {
 	}
 	j1, out1 := run()
 
-	var doc jobOutput
+	var doc core.JobDocument
 	if err := json.Unmarshal(out1, &doc); err != nil {
 		t.Fatalf("output not JSON: %v", err)
 	}
@@ -623,18 +674,21 @@ func TestShutdownAbandonsPastTimeout(t *testing.T) {
 // option — including the workload, scenario, and optimizer fields v1
 // silently dropped — survives the round trip, for every job kind.
 func TestJobRecordRoundTrip(t *testing.T) {
+	// The kind byte indexes the core registry, so its order is wire
+	// format.
+	if got, want := fmt.Sprint(core.JobKinds()), "[survey sweep workload scenario optimize]"; got != want {
+		t.Fatalf("job kind registry order %s, want %s", got, want)
+	}
 	for _, spec := range []JobSpec{
 		{
 			Tenant:         "alice",
 			Kind:           "sweep",
-			kind:           kindSweep,
 			Options:        cliconf.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5, Incremental: true},
 			TimeoutSeconds: 30,
 		},
 		{
 			Tenant: "bob",
 			Kind:   "workload",
-			kind:   kindWorkload,
 			Options: cliconf.JobOptions{
 				Small: true, Seed: 7, Incremental: true,
 				Workload: "update-storm", DurationSeconds: 600, RoundMode: true,
@@ -643,7 +697,6 @@ func TestJobRecordRoundTrip(t *testing.T) {
 		{
 			Tenant: "carol",
 			Kind:   "scenario",
-			kind:   kindScenario,
 			Options: cliconf.JobOptions{
 				Scale: "paper", Seed: 9, Scenario: "hijack", ROV: 0.5,
 			},
@@ -651,7 +704,6 @@ func TestJobRecordRoundTrip(t *testing.T) {
 		{
 			Tenant: "dave",
 			Kind:   "optimize",
-			kind:   kindOptimize,
 			Options: cliconf.JobOptions{
 				Small: true, Seed: 11, Workers: 2, Incremental: true,
 				Objective: "catchment:re=0.3", Budget: 16, Strategy: "evolve",
@@ -674,7 +726,7 @@ func TestJobRecordRoundTrip(t *testing.T) {
 			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", got, r)
 		}
 	}
-	r := &jobRecord{Spec: JobSpec{Tenant: "x", Kind: "survey", kind: kindSurvey}}
+	r := &jobRecord{Spec: JobSpec{Tenant: "x", Kind: "survey"}}
 	if _, err := decodeJob(encodeJob(r)[:10]); err == nil {
 		t.Error("truncated job manifest decoded without error")
 	}
@@ -684,11 +736,11 @@ func TestJobRecordRoundTrip(t *testing.T) {
 // grew workload/scenario/optimizer fields still decode, with the
 // historical field set and the historical survey/sweep kind gate.
 func TestJobRecordV1Compat(t *testing.T) {
-	encodeV1 := func(kind jobKind) []byte {
+	encodeV1 := func(kind uint8) []byte {
 		w := snap.NewWriter(snap.JobMagic, 1)
 		var sp snap.Enc
 		sp.String("alice")
-		sp.U8(uint8(kind))
+		sp.U8(kind)
 		sp.Bool(true) // Small
 		sp.I64(42)    // Seed
 		sp.Uvarint(3) // Workers
@@ -704,20 +756,21 @@ func TestJobRecordV1Compat(t *testing.T) {
 		w.Section(jobSecOutput, []byte(`{"x":1}`))
 		return w.Bytes()
 	}
-	got, err := decodeJob(encodeV1(kindSweep))
+	got, err := decodeJob(encodeV1(1)) // sweep
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := JobSpec{
-		Tenant: "alice", Kind: "sweep", kind: kindSweep,
+		Tenant: "alice", Kind: "sweep",
 		Options:        cliconf.JobOptions{Small: true, Seed: 42, Workers: 3, Faults: 0.5, Incremental: true},
 		TimeoutSeconds: 30,
 	}
 	if got.Spec != want || got.Seq != 7 || got.State != StateDone {
 		t.Fatalf("v1 decode diverged:\n got %+v\nwant %+v", got.Spec, want)
 	}
-	// v1 never recorded the newer kinds; such a kind byte is corruption.
-	if _, err := decodeJob(encodeV1(kindOptimize)); err == nil {
+	// v1 never recorded the newer kinds; such a kind byte (4, optimize)
+	// is corruption.
+	if _, err := decodeJob(encodeV1(4)); err == nil {
 		t.Error("v1 manifest with an optimize kind byte decoded without error")
 	}
 }

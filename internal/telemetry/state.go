@@ -112,7 +112,7 @@ func (r *Registry) SaveState(w io.Writer) error {
 // the caller can End them in reverse order as the resumed phases
 // complete. Counter/gauge/histogram values, shard timings, closed
 // spans, and the span sequence counter all continue exactly where the
-// saved run left off.
+// saved run left off. A state that fails to load changes nothing.
 func (r *Registry) LoadState(rd io.Reader) ([]*Span, error) {
 	if r == nil {
 		return nil, fmt.Errorf("telemetry: LoadState on nil registry")
@@ -122,30 +122,51 @@ func (r *Registry) LoadState(rd io.Reader) ([]*Span, error) {
 		return nil, fmt.Errorf("telemetry: decode state: %w", err)
 	}
 
+	// Check every histogram before touching r, so a state that will not
+	// load leaves the registry exactly as it was.
+	bounds := make([][]float64, len(st.Metrics.Histograms))
+	buckets := map[string]int{}
+	for i, hv := range st.Metrics.Histograms {
+		if len(hv.Buckets) == 0 {
+			return nil, fmt.Errorf("telemetry: state histogram %q has no buckets", hv.Name)
+		}
+		for _, b := range hv.Buckets[:len(hv.Buckets)-1] {
+			v, err := strconv.ParseFloat(b.LE, 64)
+			if err != nil {
+				return nil, fmt.Errorf("telemetry: state histogram %q bound %q: %w", hv.Name, b.LE, err)
+			}
+			bounds[i] = append(bounds[i], v)
+		}
+		want, seen := buckets[hv.Name]
+		if !seen {
+			r.mu.Lock()
+			h := r.hists[hv.Name]
+			r.mu.Unlock()
+			switch {
+			case h != nil:
+				want = len(h.buckets)
+			case len(bounds[i]) == 0:
+				want = len(DefaultLatencyBounds) + 1
+			default:
+				want = len(bounds[i]) + 1
+			}
+			buckets[hv.Name] = want
+		}
+		if want != len(hv.Buckets) {
+			return nil, fmt.Errorf("telemetry: state histogram %q bucket count mismatch", hv.Name)
+		}
+	}
+
 	for _, c := range st.Metrics.Counters {
 		r.Counter(c.Name).Add(c.Value)
 	}
 	for _, g := range st.Metrics.Gauges {
 		r.Gauge(g.Name).Set(g.Value)
 	}
-	for _, hv := range st.Metrics.Histograms {
-		if len(hv.Buckets) == 0 {
-			return nil, fmt.Errorf("telemetry: state histogram %q has no buckets", hv.Name)
-		}
-		bounds := make([]float64, 0, len(hv.Buckets)-1)
-		for _, b := range hv.Buckets[:len(hv.Buckets)-1] {
-			v, err := strconv.ParseFloat(b.LE, 64)
-			if err != nil {
-				return nil, fmt.Errorf("telemetry: state histogram %q bound %q: %w", hv.Name, b.LE, err)
-			}
-			bounds = append(bounds, v)
-		}
-		h := r.Histogram(hv.Name, bounds...)
-		if len(h.buckets) != len(hv.Buckets) {
-			return nil, fmt.Errorf("telemetry: state histogram %q bucket count mismatch", hv.Name)
-		}
-		for i, b := range hv.Buckets {
-			h.buckets[i].Add(b.Count)
+	for i, hv := range st.Metrics.Histograms {
+		h := r.Histogram(hv.Name, bounds[i]...)
+		for k, b := range hv.Buckets {
+			h.buckets[k].Add(b.Count)
 		}
 		h.count.Add(hv.Count)
 		h.sumMicros.Add(int64(math.Round(hv.Sum * 1e6)))

@@ -85,6 +85,25 @@ func TestStateRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestStateLoadAllOrNothing: a state whose histogram cannot load (one
+// +Inf bucket where the default layout has eleven) is rejected before
+// the counter ahead of it lands, so the registry stays fresh.
+func TestStateLoadAllOrNothing(t *testing.T) {
+	r := New()
+	bad := `{"metrics":{"counters":[{"name":"stale_total","value":7}],` +
+		`"histograms":[{"name":"h","count":1,"sum":1,"buckets":[{"le":"+Inf","count":1}]}]}}`
+	if _, err := r.LoadState(bytes.NewReader([]byte(bad))); err == nil {
+		t.Fatal("bucket-count mismatch loaded cleanly")
+	}
+	m, err := r.Snapshot(SnapshotOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Metrics.Counters) != 0 || len(m.Metrics.Histograms) != 0 {
+		t.Fatalf("failed LoadState left metrics behind: %+v", m.Metrics)
+	}
+}
+
 // TestManifestSnapshotSection checks that the dedicated snapshot
 // section mirrors the warm-start counters.
 func TestManifestSnapshotSection(t *testing.T) {

@@ -43,6 +43,10 @@ type Engine struct {
 	// Coupling, when set, is called as Coupling(from, to) every time
 	// the engine is about to advance its clock from `from` to `to`.
 	Coupling func(from, to Time)
+	// Done, when set (typically ctx.Done()), interrupts RunUntil
+	// between dispatches once closed; the clock stays at the last
+	// dispatched event.
+	Done <-chan struct{}
 
 	dispatched int64
 	wall       time.Duration
@@ -112,7 +116,7 @@ func (e *Engine) RunUntil(t Time) int {
 	wallStart := time.Now()
 	from := e.clock.Now()
 	n := 0
-	for {
+	for !e.interrupted() {
 		it, ok := e.q.Peek()
 		if !ok || it.At > t {
 			break
@@ -125,7 +129,7 @@ func (e *Engine) RunUntil(t Time) int {
 		it.V(it.At)
 		n++
 	}
-	if t > e.clock.Now() {
+	if t > e.clock.Now() && !e.interrupted() {
 		e.advance(t)
 	}
 	e.dispatched += int64(n)
@@ -134,6 +138,16 @@ func (e *Engine) RunUntil(t Time) int {
 	e.metrics.virtualSec.Add(int64(e.clock.Now() - from))
 	e.wall += time.Since(wallStart)
 	return n
+}
+
+// interrupted reports whether Done has closed.
+func (e *Engine) interrupted() bool {
+	select {
+	case <-e.Done:
+		return true
+	default:
+		return false
+	}
 }
 
 // advance couples the external simulator to `to` and moves the clock.

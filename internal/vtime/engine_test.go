@@ -190,3 +190,27 @@ func TestRoundScheduler(t *testing.T) {
 		t.Fatalf("Gap 0 quantize = %d, want identity", zero)
 	}
 }
+
+// TestEngineDone: closing Done from inside a handler stops RunUntil
+// before the next dispatch, leaving the rest queued and the clock at
+// the last dispatched event.
+func TestEngineDone(t *testing.T) {
+	e := NewEngine(0)
+	done := make(chan struct{})
+	e.Done = done
+	fired := 0
+	for _, at := range []Time{10, 20, 30} {
+		e.At(at, func(Time) {
+			fired++
+			if fired == 2 {
+				close(done)
+			}
+		})
+	}
+	if n := e.RunUntil(100); n != 2 {
+		t.Fatalf("RunUntil dispatched %d after Done closed, want 2", n)
+	}
+	if e.Now() != 20 || e.Pending() != 1 {
+		t.Fatalf("clock %d, pending %d; want 20 and 1", e.Now(), e.Pending())
+	}
+}
