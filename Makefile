@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build check vet test race smoke parallel-smoke resume-smoke optimize-resume-smoke serve-smoke workload-smoke scenario-smoke optimize-smoke bench bench-mem fuzz cover
+.PHONY: build check vet test race perfbench-check smoke parallel-smoke resume-smoke optimize-resume-smoke serve-smoke workload-smoke scenario-smoke optimize-smoke bench bench-mem fuzz cover
 
 build:
 	$(GO) build ./...
@@ -19,6 +19,13 @@ check: build vet test
 
 race:
 	$(GO) test -race ./...
+
+# The benchmark module (perfbench/, its own go.mod) builds against this
+# working tree through its replace directive, but the root `go build
+# ./...` never compiles it: vet, test and build it on its own, outside
+# any go.work, so a change that breaks the benchmark drivers fails here.
+perfbench-check:
+	cd perfbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./... && GOWORK=off $(GO) build ./...
 
 # Reduced-scale fault sweep as a smoke test: exercises the injector,
 # the resilient pipeline, and the report path in one shot.

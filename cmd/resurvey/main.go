@@ -305,7 +305,8 @@ func writeSurvey(w io.Writer, o options, reg *telemetry.Registry, rep *core.Surv
 		if o.Small {
 			warm = s
 		}
-		fmt.Fprintln(w, core.RunMultiSeedFrom(core.SmallSurveyOptions(), seedList, warm, rep.Pristine, reg).Table())
+		env := core.RunEnv{Survey: core.SmallSurveyOptions(), Incremental: o.Incremental, Metrics: reg, Workers: o.Workers}
+		fmt.Fprintln(w, core.RunMultiSeedFrom(env, seedList, warm, rep.Pristine).Table())
 	}
 
 	if o.JSONDir != "" {

@@ -3,6 +3,7 @@ package bgp
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/netutil"
@@ -80,7 +81,10 @@ type Network struct {
 	metrics netMetrics
 
 	// solver caches the static solver's RouterID-indexed adjacency;
-	// AddSpeaker/Connect invalidate it.
+	// AddSpeaker/Connect invalidate it. solverMu serializes the lazy
+	// rebuild, since concurrent SolveStatic calls on a quiescent
+	// network are allowed.
+	solverMu    sync.Mutex
 	solver      *solverIndex
 	solverStale bool
 

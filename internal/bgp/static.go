@@ -33,8 +33,11 @@ type solverIndex struct {
 }
 
 // solverIdx returns the cached index, rebuilding it after topology
-// changes (AddSpeaker/Connect mark it stale).
+// changes (AddSpeaker/Connect mark it stale). Safe for concurrent
+// callers.
 func (n *Network) solverIdx() *solverIndex {
+	n.solverMu.Lock()
+	defer n.solverMu.Unlock()
 	if n.solver != nil && !n.solverStale {
 		return n.solver
 	}
@@ -102,6 +105,9 @@ const maxStaticRounds = 200
 // solver's per-speaker best; the reproduction attaches VRF splits only
 // to collector sessions for the measurement prefix, which the event
 // engine handles with full fidelity.
+//
+// SolveStatic only reads the network, so concurrent calls are safe as
+// long as nothing mutates it meanwhile.
 func (n *Network) SolveStatic(p netutil.Prefix, origins []StaticOrigin) *StaticResult {
 	res := &StaticResult{Prefix: p}
 

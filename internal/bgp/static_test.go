@@ -2,6 +2,7 @@ package bgp
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/asn"
@@ -207,5 +208,38 @@ func TestSolverDetectsDispute(t *testing.T) {
 	}
 	if res.Rounds > maxStaticRounds {
 		t.Fatalf("solver exceeded its round cap: %d", res.Rounds)
+	}
+}
+
+// TestSolveStaticConcurrent fans SolveStatic out over goroutines on a
+// freshly built network, whose solver index is not built yet, as
+// core.ComputeOriginViews does. Run under -race it catches an
+// unsynchronized lazy index rebuild; every concurrent solve must also
+// match the sequential solve on an identically built network.
+func TestSolveStaticConcurrent(t *testing.T) {
+	const n, solvers = 40, 8
+	net := randomGaoRexfordNetwork(rand.New(rand.NewSource(11)), n)
+	ref := randomGaoRexfordNetwork(rand.New(rand.NewSource(11)), n)
+	p := netutil.MustParsePrefix("10.0.0.0/8")
+	got := make([]*StaticResult, solvers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = net.SolveStatic(p, []StaticOrigin{{Speaker: RouterID(1 + i)}})
+		}()
+	}
+	wg.Wait()
+	for i, res := range got {
+		want := ref.SolveStatic(p, []StaticOrigin{{Speaker: RouterID(1 + i)}})
+		if len(res.Best) != len(want.Best) {
+			t.Fatalf("origin %d: %d routed speakers, want %d", 1+i, len(res.Best), len(want.Best))
+		}
+		for id, w := range want.Best {
+			if r := res.Best[id]; r == nil || !r.Path.Equal(w.Path) || r.LocalPref != w.LocalPref {
+				t.Fatalf("origin %d speaker %d: concurrent %v, sequential %v", 1+i, id, r, w)
+			}
+		}
 	}
 }

@@ -2,9 +2,9 @@
 // binaries. cmd/resurvey, cmd/reprobe, and cmd/reinfer used to parse
 // -seed, -faults, -manifest, -metrics (and now -workers) each with
 // their own copies; cliconf registers them once with identical names,
-// semantics, and validation, and converts the parsed Config into
-// core.Pipeline options so every binary constructs its pipeline the
-// same way.
+// semantics, and validation, and converts the parsed Config into a
+// core.JobOptions so every binary constructs its pipeline the same
+// way.
 package cliconf
 
 import (
@@ -211,10 +211,9 @@ func (c Config) CheckpointDir(prog string, reg *telemetry.Registry) *core.Checkp
 	}
 }
 
-// Pipeline builds the core.Pipeline the flags describe; extra options
-// append after (and can thus override) the flag-derived ones.
-func (c Config) Pipeline(reg *telemetry.Registry, extra ...core.PipelineOption) *core.Pipeline {
-	return c.Job().Pipeline(reg, extra...)
+// Pipeline builds the core.Pipeline the flags describe.
+func (c Config) Pipeline(reg *telemetry.Registry) *core.Pipeline {
+	return c.Job().Pipeline(reg)
 }
 
 // WriteManifest snapshots reg to the -manifest path (a no-op without

@@ -103,9 +103,9 @@ func TestJobPipelineWiring(t *testing.T) {
 	j := JobOptions{Small: true, Seed: 5, Workers: 3, Faults: 0.25, Incremental: true}
 	pl := j.Pipeline(nil)
 	fo := pl.FaultSweepOptions()
-	if pl.Seed() != 5 || fo.Workers != 3 || fo.Intensities[len(fo.Intensities)-1] != 0.25 || !pl.Incremental() {
+	if pl.Seed() != 5 || fo.Workers != 3 || fo.Intensities[len(fo.Intensities)-1] != 0.25 || !fo.Incremental {
 		t.Errorf("pipeline carries seed=%d workers=%d faults=%v incremental=%v",
-			pl.Seed(), fo.Workers, fo.Intensities, pl.Incremental())
+			pl.Seed(), fo.Workers, fo.Intensities, fo.Incremental)
 	}
 }
 
@@ -198,16 +198,16 @@ func TestPipelineWiring(t *testing.T) {
 	c := Config{Small: true, Seed: 5, Workers: 3, Faults: 0.25, Incremental: true}
 	pl := c.Pipeline(nil)
 	fo := pl.FaultSweepOptions()
-	if pl.Seed() != 5 || fo.Workers != 3 || fo.Intensities[len(fo.Intensities)-1] != 0.25 || !pl.Incremental() {
+	if pl.Seed() != 5 || fo.Workers != 3 || fo.Intensities[len(fo.Intensities)-1] != 0.25 || !fo.Incremental {
 		t.Errorf("pipeline carries seed=%d workers=%d faults=%v incremental=%v",
-			pl.Seed(), fo.Workers, fo.Intensities, pl.Incremental())
+			pl.Seed(), fo.Workers, fo.Intensities, fo.Incremental)
 	}
 	if pl.SurveyOptions().Topology.Seed != 5 {
 		t.Errorf("survey topology seed = %d, want 5", pl.SurveyOptions().Topology.Seed)
 	}
 	// -incremental=false must reach the pipeline as the reference mode
-	// even though NewPipeline's own default is incremental.
-	if pl := (Config{}).Pipeline(nil); pl.Incremental() {
+	// even though the core sweep defaults are incremental.
+	if pl := (Config{}).Pipeline(nil); pl.FaultSweepOptions().Incremental {
 		t.Error("Config zero value did not select the full reference path")
 	}
 }

@@ -23,11 +23,7 @@ func equivCell(t *testing.T, cfg topo.GenConfig, seed int64, intensity float64, 
 	opts.Topology.Seed = seed
 
 	reg := telemetry.New()
-	s := NewSurvey(opts)
-	s.SetIncremental(incremental)
-	s.SetMetrics(reg)
-	s.Workers = 1
-	s.Prober.Workers = 1
+	s := RunEnv{Survey: opts, Incremental: incremental}.world(reg, 1)
 	start := bgp.Time(9 * 3600)
 	x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, start)
 	x.Metrics = reg
@@ -151,27 +147,27 @@ func TestIncrementalEvalReduction(t *testing.T) {
 	}
 }
 
-// TestPipelineWithIncremental checks the option plumbing: the default
-// pipeline is incremental, WithIncremental(false) selects the
-// reference path, and both reach the survey's engine and the fault
-// sweep options.
+// TestPipelineWithIncremental checks the engine-mode plumbing: the
+// core defaults are incremental, a job's Incremental=false selects the
+// reference path for every run mode, and both modes reach the survey's
+// engine.
 func TestPipelineWithIncremental(t *testing.T) {
-	if def := NewPipeline(WithSmall()); !def.Incremental() {
+	if !DefaultFaultSweepOptions().Incremental || !DefaultScenarioSweepOptions(faults.ScenarioHijack).Incremental {
 		t.Error("default pipeline is not incremental")
 	}
-	p := NewPipeline(WithSmall(), WithIncremental(false))
-	if p.Incremental() {
-		t.Error("WithIncremental(false) did not stick")
+	p := JobOptions{Small: true}.Pipeline(nil)
+	if p.OptimizeOptions().Incremental || p.ScenarioSweepOptions().Incremental {
+		t.Error("Incremental=false did not stick")
 	}
 	if got := p.FaultSweepOptions().Incremental; got {
 		t.Error("fault sweep options did not inherit incremental=false")
 	}
 	s := p.NewSurvey()
 	if s.Eco.Net.Incremental() {
-		t.Error("survey engine is incremental despite WithIncremental(false)")
+		t.Error("survey engine is incremental despite Incremental=false")
 	}
-	s2 := NewPipeline(WithSmall(), WithIncremental(true)).NewSurvey()
+	s2 := JobOptions{Small: true, Incremental: true}.Pipeline(nil).NewSurvey()
 	if !s2.Eco.Net.Incremental() {
-		t.Error("survey engine is not incremental despite WithIncremental(true)")
+		t.Error("survey engine is not incremental despite Incremental=true")
 	}
 }

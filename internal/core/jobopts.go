@@ -129,34 +129,18 @@ func (j JobOptions) Validate() error {
 	return nil
 }
 
-// Pipeline builds the Pipeline the job describes, wiring reg (nil is
-// fine) as the metrics sink; extra options append after (and can thus
-// override) the job-derived ones.
-func (j JobOptions) Pipeline(reg *telemetry.Registry, extra ...PipelineOption) *Pipeline {
-	opts := []PipelineOption{
-		WithSeed(j.Seed),
-		WithWorkers(j.Workers),
-		WithFaults(j.Faults),
-		WithScenario(j.Scenario),
-		WithROV(j.ROV),
-		WithIncremental(j.Incremental),
-		WithMetrics(reg),
+// Pipeline resolves the job into the Pipeline every run mode builds
+// from, wiring reg (nil is fine) as the metrics sink: Scale (or else
+// Small, or else paper scale) picks the world configuration, and Seed
+// always becomes the topology seed.
+func (j JobOptions) Pipeline(reg *telemetry.Registry) *Pipeline {
+	survey := DefaultSurveyOptions()
+	if s, err := topo.ParseScale(j.Scale); err == nil {
+		survey.Topology = s.Config()
+	} else if j.Small { // Scale is empty (or one Validate rejects)
+		survey = SmallSurveyOptions()
 	}
-	if j.Small {
-		opts = append(opts, WithSmall())
-	}
-	if j.Scale != "" {
-		// Validate has already vetted the name; ParseScale cannot fail
-		// here, and WithScale overrides WithSmall inside the pipeline.
-		if s, err := topo.ParseScale(j.Scale); err == nil {
-			opts = append(opts, WithScale(s))
-		}
-	}
-	if j.Objective != "" {
-		opts = append(opts,
-			WithObjective(j.Objective),
-			WithBudget(j.Budget),
-			WithStrategy(j.Strategy))
-	}
-	return NewPipeline(append(opts, extra...)...)
+	survey.Topology.Seed = j.Seed
+	env := RunEnv{Survey: survey, Incremental: j.Incremental, Metrics: reg, Workers: j.Workers}
+	return &Pipeline{job: j, env: env}
 }

@@ -23,11 +23,15 @@ import (
 // incremental path — the same warm-start discipline the resilience
 // sweep uses, here amortized across an entire search.
 
-// OptimizeOptions configures a policy-optimization run.
+// OptimizeOptions configures a policy-optimization run. The search
+// optimizes the measurement announcement of the SURF experiment on
+// the embedded RunEnv's Survey world; Workers bounds concurrent
+// candidate evaluations (results are byte-identical at any width).
+// Evaluation-world engines are never instrumented — engine counters
+// would vary with evaluation scheduling — so everything Metrics
+// records is identical at any Workers value.
 type OptimizeOptions struct {
-	// Survey is the world configuration; the search optimizes the
-	// measurement announcement of the SURF experiment on it.
-	Survey SurveyOptions
+	RunEnv
 	// Objective is the target spec (see optimize.ParseSpec):
 	// "catchment:re=0.4" or "probe:re=0.5,commodity=0.3,loss=0.2".
 	Objective string
@@ -38,25 +42,14 @@ type OptimizeOptions struct {
 	Budget int
 	// Lambda is the generation width; 0 means the strategy default (4).
 	Lambda int
-	// Workers bounds concurrent candidate evaluations; <= 0 means
-	// GOMAXPROCS. Results are byte-identical at any width.
-	Workers int
 	// SearchSeed keys every proposal RNG stream (the pipeline derives
 	// it from the session seed via optimizeSeedStream).
 	SearchSeed int64
-	// Incremental selects the engine recomputation mode for every world
-	// the run builds.
-	Incremental bool
 	// Cold disables warm-started evaluation: every candidate gets a
 	// freshly built world and pays full initial convergence. Only
 	// useful for measuring what the warm path saves
 	// (TestOptimizeWarmStartSavings); searches should leave it false.
 	Cold bool
-	// Metrics receives the run's counters and spans; nil disables
-	// telemetry. Evaluation-world engines are never instrumented —
-	// engine counters would vary with evaluation scheduling — so
-	// everything recorded here is identical at any Workers value.
-	Metrics *telemetry.Registry
 	// Progress, when non-nil, fires serially after every generation.
 	Progress func(OptimizeProgress)
 	// Checkpoint, when non-nil, fires serially after every generation
@@ -160,9 +153,7 @@ func newPolicyEvaluator(opts OptimizeOptions, obj optimize.Objective, driver *Su
 	}
 	ev.pool <- ev.prepSlot(driver)
 	for i := 1; i < slots; i++ {
-		s := NewSurvey(opts.Survey)
-		s.SetIncremental(opts.Incremental)
-		ev.pool <- ev.prepSlot(s)
+		ev.pool <- ev.prepSlot(opts.world(nil, 1))
 	}
 	return ev
 }
@@ -171,7 +162,6 @@ func newPolicyEvaluator(opts OptimizeOptions, obj optimize.Objective, driver *Su
 // terminal mapping as in Experiment.RunContext, no injected dormancy
 // (evaluations measure steady state, not loss).
 func (ev *policyEvaluator) prepSlot(s *Survey) *optSlot {
-	s.Prober.Workers = 1
 	s.World.RETerminals = map[bgp.RouterID]bool{s.Eco.MeasSURF.Router: true}
 	s.World.CommodityTerminals = map[bgp.RouterID]bool{s.Eco.MeasCommodity.Router: true}
 	return &optSlot{s: s}
@@ -182,9 +172,7 @@ func (ev *policyEvaluator) Evaluate(ctx context.Context, c optimize.Candidate) (
 		return optimize.Eval{}, err
 	}
 	if ev.opts.Cold {
-		s := NewSurvey(ev.opts.Survey)
-		s.SetIncremental(ev.opts.Incremental)
-		slot := ev.prepSlot(s)
+		slot := ev.prepSlot(ev.opts.world(nil, 1))
 		ev.coldBuilds.Add(1)
 		ev.reg.Counter("opt_cold_builds_total").Inc()
 		st0 := slot.s.Eco.Net.Stats()
@@ -345,8 +333,7 @@ func RunOptimizeContext(ctx context.Context, opts OptimizeOptions) (*OptimizeRes
 	defer span.End()
 
 	buildSpan := reg.StartSpan("optimize-converge")
-	driver := NewSurvey(opts.Survey)
-	driver.SetIncremental(opts.Incremental)
+	driver := opts.world(nil, 1)
 	x := NewSURFExperiment(driver.Eco, driver.World, driver.Prober, driver.Sel, optStart)
 	x.Metrics = reg // Converge meters via Stats deltas — deterministic
 	x.Converge()

@@ -13,13 +13,11 @@ import (
 
 func optTestOptions(strategy string, workers int) OptimizeOptions {
 	return OptimizeOptions{
-		Survey:      SmallSurveyOptions(),
-		Objective:   "catchment:re=0.3",
-		Strategy:    strategy,
-		Budget:      8,
-		Workers:     workers,
-		SearchSeed:  7,
-		Incremental: true,
+		RunEnv:     RunEnv{Survey: SmallSurveyOptions(), Workers: workers, Incremental: true},
+		Objective:  "catchment:re=0.3",
+		Strategy:   strategy,
+		Budget:     8,
+		SearchSeed: 7,
 	}
 }
 
@@ -290,8 +288,8 @@ func TestOptimizeCheckpointResume(t *testing.T) {
 // TestOptimizePipelineWiring: the pipeline derives the optimize
 // configuration from the session seed and options.
 func TestOptimizePipelineWiring(t *testing.T) {
-	p := NewPipeline(WithSmall(), WithSeed(11), WithWorkers(3),
-		WithObjective("catchment:re=0.4"), WithBudget(9), WithStrategy("evolve"))
+	p := JobOptions{Small: true, Seed: 11, Workers: 3, Incremental: true,
+		Objective: "catchment:re=0.4", Budget: 9, Strategy: "evolve"}.Pipeline(nil)
 	opts := p.OptimizeOptions()
 	if opts.Objective != "catchment:re=0.4" || opts.Budget != 9 || opts.Strategy != "evolve" {
 		t.Fatalf("pipeline options not threaded: %+v", opts)
@@ -302,7 +300,7 @@ func TestOptimizePipelineWiring(t *testing.T) {
 	if want := parallel.SubSeed(11, optimizeSeedStream); opts.SearchSeed != want {
 		t.Fatalf("search seed %d, want SubSeed(11, optimizeSeedStream) = %d", opts.SearchSeed, want)
 	}
-	if NewPipeline().OptimizeOptions().Strategy != "hillclimb" {
+	if (JobOptions{}).Pipeline(nil).OptimizeOptions().Strategy != "hillclimb" {
 		t.Fatal("default strategy is not hillclimb")
 	}
 }

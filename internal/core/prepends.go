@@ -1,12 +1,11 @@
 package core
 
 import (
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/asn"
 	"repro/internal/bgp"
+	"repro/internal/parallel"
 	"repro/internal/report"
 	"repro/internal/topo"
 )
@@ -93,30 +92,10 @@ func ComputeOriginViews(eco *topo.Ecosystem) map[asn.AS]*OriginView {
 		return ov
 	}
 
-	results := make([]*OriginView, len(origins))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(origins) {
-		workers = len(origins)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i] = solveOne(origins[i])
-			}
-		}()
-	}
-	for i := range origins {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	// One origin per shard, on GOMAXPROCS workers.
+	results := parallel.Collect(len(origins), 1, 0, func(sh parallel.Shard) *OriginView {
+		return solveOne(origins[sh.Lo])
+	})
 
 	views := make(map[asn.AS]*OriginView, len(origins))
 	for i, origin := range origins {

@@ -23,12 +23,14 @@ import (
 // operator email (§4.1.2). It quantifies how much fault intensity
 // Table 1's shape tolerates.
 
-// FaultSweepOptions configures RunFaultSweepContext.
+// FaultSweepOptions configures RunFaultSweepContext. The embedded
+// RunEnv's Survey is rebuilt fresh at every intensity point, Workers
+// bounds how many points run concurrently (one per worker), and
+// Metrics also records per-intensity score gauges
+// (faultsweep_accuracy, faultsweep_mean_confidence,
+// faultsweep_outage_classes).
 type FaultSweepOptions struct {
-	// Survey is the world configuration rebuilt fresh at every
-	// intensity point, so points are independent and each is exactly
-	// reproducible.
-	Survey SurveyOptions
+	RunEnv
 	// Intensities are the sweep points, typically starting at 0 (the
 	// strict baseline pipeline, bit-for-bit).
 	Intensities []float64
@@ -39,9 +41,6 @@ type FaultSweepOptions struct {
 	Quorum int
 	// Retry is the prober retry policy applied at nonzero intensity.
 	Retry probe.RetryPolicy
-	// Incremental selects the BGP engine's recomputation mode for every
-	// point's world (observable output is identical either way).
-	Incremental bool
 	// WarmStart, when true, converges the experiment once on a base
 	// world, snapshots the engine (bgp.Network.Snapshot), and restores
 	// that snapshot into every intensity point's freshly built world
@@ -51,27 +50,17 @@ type FaultSweepOptions struct {
 	// see snapshot_restore_total and
 	// core_warm_start_skipped_convergence_runs_total.
 	WarmStart bool
-	// Metrics, when non-nil, instruments every sweep point's world and
-	// records per-intensity score gauges (faultsweep_accuracy,
-	// faultsweep_mean_confidence, faultsweep_outage_classes).
-	Metrics *telemetry.Registry
-	// Workers bounds how many intensity points run concurrently (one
-	// intensity per worker); <= 0 means GOMAXPROCS. Each point rebuilds
-	// its own world and records into its own sub-registry, merged back
-	// in intensity order, so sweep output is identical for any value.
-	Workers int
 }
 
 // DefaultFaultSweepOptions sweeps six intensity points over the small
 // topology with the resilience layer at its default settings.
 func DefaultFaultSweepOptions() FaultSweepOptions {
 	return FaultSweepOptions{
-		Survey:      SmallSurveyOptions(),
+		RunEnv:      RunEnv{Survey: SmallSurveyOptions(), Incremental: true},
 		Intensities: []float64{0, 0.1, 0.25, 0.5, 0.75, 1},
 		FaultSeed:   1789,
 		Quorum:      6,
 		Retry:       probe.DefaultRetryPolicy(),
-		Incremental: true,
 		WarmStart:   true,
 	}
 }
@@ -136,11 +125,7 @@ func RunFaultSweepContext(ctx context.Context, opts FaultSweepOptions) ([]FaultS
 			baseReg = telemetry.New()
 		}
 		sp := baseReg.StartSpan("faultsweep:base")
-		s := NewSurvey(opts.Survey)
-		s.SetIncremental(opts.Incremental)
-		s.SetMetrics(baseReg)
-		s.Workers = 1
-		s.Prober.Workers = 1
+		s := opts.world(baseReg, 1)
 		x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, bgp.Time(9*3600))
 		x.Metrics = baseReg
 		x.Workers = 1
@@ -201,11 +186,7 @@ func runFaultPoint(ctx context.Context, opts FaultSweepOptions, intensity float6
 	lbl := fmt.Sprintf("%.2f", intensity)
 	sp := reg.StartSpan("faultsweep:intensity=" + lbl)
 	defer sp.End()
-	s := NewSurvey(opts.Survey)
-	s.SetIncremental(opts.Incremental)
-	s.SetMetrics(reg)
-	s.Workers = 1
-	s.Prober.Workers = 1
+	s := opts.world(reg, 1)
 	start := bgp.Time(9 * 3600)
 	x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, start)
 	x.Metrics = reg

@@ -34,13 +34,14 @@ type GapAblationRow struct {
 // one world: the freshly built engine state is snapshotted once and
 // restored before each subsequent gap, which forks every run from the
 // identical pre-announcement state a fresh build would produce without
-// paying a rebuild per gap.
+// paying a rebuild per gap. The world runs on the default incremental
+// engine.
 func AblateRoundGap(gaps []int, opts SurveyOptions) []GapAblationRow {
 	// Isolate the pacing effect: no dormancy or random loss.
 	opts.World.FracDormantPrefix = 0
 	opts.World.ProbeLossProb = 0
 
-	s := NewSurvey(opts)
+	s := RunEnv{Survey: opts, Incremental: true}.world(nil, 0)
 	var pristine bytes.Buffer
 	if err := s.Eco.Net.Snapshot(&pristine); err != nil {
 		panic("core: snapshot of freshly built network: " + err.Error())

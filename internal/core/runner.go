@@ -55,9 +55,9 @@ type Survey struct {
 // experiments RunBoth creates — to one registry. Call it before
 // RunBoth; a nil registry disables instrumentation.
 //
-// Deprecated: construct through NewPipeline with WithMetrics, the
-// single wiring path for surveys; SetMetrics remains as the mechanism
-// the pipeline options delegate to.
+// Deprecated: build the survey through JobOptions.Pipeline, whose
+// registry every world of the run is wired to; SetMetrics remains as
+// the mechanism that wiring delegates to.
 func (s *Survey) SetMetrics(r *telemetry.Registry) {
 	s.Metrics = r
 	s.Eco.Net.SetMetrics(r)
@@ -66,8 +66,8 @@ func (s *Survey) SetMetrics(r *telemetry.Registry) {
 
 // SetIncremental switches the survey's BGP engine between full
 // reconvergence and incremental recomputation (see bgp.SetIncremental;
-// both modes produce identical observable output). The pipeline
-// threads WithIncremental here; bare NewSurvey callers keep the full
+// both modes produce identical observable output). Pipelines thread
+// JobOptions.Incremental here; bare NewSurvey callers keep the full
 // reference path unless they opt in.
 func (s *Survey) SetIncremental(on bool) { s.Eco.Net.SetIncremental(on) }
 
@@ -140,9 +140,8 @@ func NewSurvey(opts SurveyOptions) *Survey {
 // before the same split, so reruns with the same seed reproduce the
 // same assignment.
 //
-// The seed arrives via SurveyOptions.OutageSeed, threaded from
-// NewPipeline's WithOutageSplit option; callers should not invent
-// ad-hoc seeds here. New derived streams should instead follow the
+// The seed arrives via SurveyOptions.OutageSeed; callers should not
+// invent ad-hoc seeds here. New derived streams should instead follow the
 // parallel.SubSeed(sessionSeed, stream) convention documented in
 // package parallel.
 func SplitOutages(outages []Outage, seed int64) (first, second []Outage) {

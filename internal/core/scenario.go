@@ -29,12 +29,12 @@ import (
 	"repro/internal/topo"
 )
 
-// ScenarioSweepOptions configures RunScenarioSweepContext.
+// ScenarioSweepOptions configures RunScenarioSweepContext. The
+// embedded RunEnv's Survey is rebuilt fresh at every adoption point
+// (and once for the baseline), Workers bounds how many points run
+// concurrently, and Metrics also records per-adoption census gauges.
 type ScenarioSweepOptions struct {
-	// Survey is the world configuration rebuilt fresh at every
-	// adoption point (and once for the baseline), so points are
-	// independent and each is exactly reproducible.
-	Survey SurveyOptions
+	RunEnv
 	// Scenario is the family: faults.ScenarioHijack or
 	// faults.ScenarioLeak.
 	Scenario string
@@ -46,27 +46,17 @@ type ScenarioSweepOptions struct {
 	// ROVSeed drives the per-AS adoption draws. It is shared across
 	// points, which is what makes the deployed sets nested.
 	ROVSeed int64
-	// Incremental selects the BGP engine's recomputation mode.
-	Incremental bool
-	// Metrics, when non-nil, instruments every point's world and
-	// records per-adoption census gauges.
-	Metrics *telemetry.Registry
-	// Workers bounds how many points run concurrently; <= 0 means
-	// GOMAXPROCS. Points record into private sub-registries merged in
-	// adoption order, so output is identical for any value.
-	Workers int
 }
 
 // DefaultScenarioSweepOptions sweeps the canonical adoption ladder
 // over the small topology.
 func DefaultScenarioSweepOptions(scenario string) ScenarioSweepOptions {
 	return ScenarioSweepOptions{
-		Survey:       SmallSurveyOptions(),
+		RunEnv:       RunEnv{Survey: SmallSurveyOptions(), Incremental: true},
 		Scenario:     scenario,
 		Adoptions:    []float64{0, 0.25, 0.5, 0.75, 1},
 		ScenarioSeed: 2025,
 		ROVSeed:      1889,
-		Incremental:  true,
 	}
 }
 
@@ -150,11 +140,7 @@ func runScenarioPoint(ctx context.Context, opts ScenarioSweepOptions, adoption f
 	}
 	sp := reg.StartSpan("scenariosweep:adoption=" + lbl)
 	defer sp.End()
-	s := NewSurvey(opts.Survey)
-	s.SetIncremental(opts.Incremental)
-	s.SetMetrics(reg)
-	s.Workers = 1
-	s.Prober.Workers = 1
+	s := opts.world(reg, 1)
 	start := bgp.Time(9 * 3600)
 	x := NewInternet2Experiment(s.Eco, s.World, s.Prober, s.Sel, start)
 	x.Metrics = reg

@@ -75,7 +75,7 @@ func TestRunMultiSeedFromWarm(t *testing.T) {
 	warm.RunBoth() // the "main run" the rewind must not be confused by
 	mainI2 := warm.Internet2
 	reg := telemetry.New()
-	got := RunMultiSeedFrom(opts, seeds, warm, pristine.Bytes(), reg)
+	got := RunMultiSeedFrom(RunEnv{Survey: opts, Metrics: reg}, seeds, warm, pristine.Bytes())
 
 	if !reflect.DeepEqual(cold.Runs, got.Runs) {
 		t.Fatalf("warm rows diverged:\ncold: %+v\nwarm: %+v", cold.Runs, got.Runs)

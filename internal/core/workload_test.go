@@ -15,7 +15,7 @@ import (
 
 func runNamedWorkload(t *testing.T, name string, d vtime.Time, workers int, round bool) (*WorkloadResult, string) {
 	t.Helper()
-	p := NewPipeline(WithSmall(), WithSeed(1), WithWorkers(workers))
+	p := JobOptions{Small: true, Seed: 1, Workers: workers, Incremental: true}.Pipeline(nil)
 	res, err := p.RunWorkload(context.Background(), WorkloadOptions{Name: name, Duration: d, RoundMode: round})
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -100,7 +100,7 @@ func TestWorkloadRoundModeQuantizes(t *testing.T) {
 // to the identical final RIB.
 func TestCommutingEventsInterleaving(t *testing.T) {
 	build := func() (*Survey, []workload.Event) {
-		p := NewPipeline(WithSmall(), WithSeed(3))
+		p := JobOptions{Small: true, Seed: 3, Incremental: true}.Pipeline(nil)
 		s := p.NewSurvey()
 		s.Eco.Net.RunToQuiescence()
 		var evs []workload.Event
@@ -181,7 +181,7 @@ func TestCommutingEventsInterleaving(t *testing.T) {
 // generator end to end: recorded gaps become virtual schedule times
 // and the updates land at the right origins.
 func TestReplayWorkload(t *testing.T) {
-	p := NewPipeline(WithSmall(), WithSeed(1))
+	p := JobOptions{Small: true, Seed: 1, Incremental: true}.Pipeline(nil)
 	// Peek at the ecosystem to learn real study prefixes, then build a
 	// fresh pipeline run for the replay itself.
 	probeEco := p.NewSurvey().Eco
@@ -210,7 +210,7 @@ func TestReplayWorkload(t *testing.T) {
 		t.Fatalf("flush: %v", err)
 	}
 
-	res, err := NewPipeline(WithSmall(), WithSeed(1)).RunWorkload(context.Background(), WorkloadOptions{
+	res, err := JobOptions{Small: true, Seed: 1, Incremental: true}.Pipeline(nil).RunWorkload(context.Background(), WorkloadOptions{
 		Name: "replay", Duration: 600, Trace: bytes.NewReader(buf.Bytes()),
 	})
 	if err != nil {
@@ -229,7 +229,7 @@ func TestReplayWorkload(t *testing.T) {
 
 // TestWorkloadValidation covers the error paths.
 func TestWorkloadValidation(t *testing.T) {
-	p := NewPipeline(WithSmall(), WithSeed(1))
+	p := JobOptions{Small: true, Seed: 1, Incremental: true}.Pipeline(nil)
 	if _, err := p.RunWorkload(context.Background(), WorkloadOptions{Name: "no-such"}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}

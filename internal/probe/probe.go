@@ -109,10 +109,9 @@ type proberMetrics struct {
 // SetMetrics wires the prober to the registry. A nil registry
 // disables instrumentation.
 //
-// Deprecated: construct through core.NewPipeline with
-// core.WithMetrics, which wires every component consistently;
-// SetMetrics remains as the mechanism the pipeline options delegate
-// to.
+// Deprecated: build the survey through core.JobOptions.Pipeline,
+// which wires every component to the run's registry consistently;
+// SetMetrics remains as the mechanism that wiring delegates to.
 func (pr *Prober) SetMetrics(r *telemetry.Registry) {
 	pr.registry = r
 	pr.metrics = proberMetrics{

@@ -82,20 +82,13 @@ func WithSeed(seed int64) Option {
 	return func(cfg *GenConfig) { cfg.Seed = seed }
 }
 
-// WithCompactRIB selects (or deselects) the arena-backed RIB layout
-// independently of the scale tier's default.
-func WithCompactRIB(on bool) Option {
-	return func(cfg *GenConfig) { cfg.CompactRIB = on }
-}
-
 // Generate builds an ecosystem from functional options, starting from
 // the paper-scale defaults:
 //
 //	eco := topo.Generate(topo.WithScale(topo.ScaleSmall), topo.WithSeed(7))
 //
 // Build(cfg) remains the primitive for callers holding a full
-// GenConfig; Generate is the constructor everything above the
-// generator (cliconf, core.Pipeline) goes through.
+// GenConfig, and the one core's survey worlds build through.
 func Generate(opts ...Option) *Ecosystem {
 	cfg := DefaultConfig()
 	for _, opt := range opts {

@@ -68,11 +68,12 @@ func TestGenerateMatchesBuild(t *testing.T) {
 
 func TestGenerateOptionOrder(t *testing.T) {
 	// Options apply in order: a later WithSeed overrides the scale
-	// tier's default seed; WithCompactRIB overrides the tier's layout.
+	// tier's default seed; a later field edit overrides the tier's
+	// layout.
 	cfg := DefaultConfig()
 	WithScale(ScaleInternet)(&cfg)
 	WithSeed(99)(&cfg)
-	WithCompactRIB(false)(&cfg)
+	cfg.CompactRIB = false
 	if cfg.MembersUS != InternetConfig().MembersUS {
 		t.Error("WithScale did not install the internet base")
 	}
